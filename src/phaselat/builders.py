@@ -15,7 +15,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import as_vector, check_same_dim, modulus, perp_profile
+from .lattice import (
+    as_vector,
+    check_same_dim,
+    modulus,
+    perp_profile,
+    require_independent,
+)
 from .phase_metric import PairWitness, spr_ratio, unimodular_distance
 from .hilbert import (
     SQRT2,
@@ -127,10 +133,7 @@ class EquivalenceVerdict(NamedTuple):
 
 
 def _require_independent(x, y, err):
-    mat = np.stack([x, y])
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv[-1] <= 1e-10 * sv[0]:
-        raise err
+    require_independent(np.stack([x, y]), err)
 
 
 def _require_normalized(u, v, norm):

@@ -7,20 +7,38 @@ span{f, g} whose induced norm sandwiches the lattice norm,
 
 and implements the reduction (f, g) -> (f - R(f+g), g - R(f+g)) that makes
 the pair orthogonal in the fitted inner product without increasing the
-pointwise modulus gap.  The fit computes the minimum-volume centered
-ellipsoid enclosing a dense sample of the span's unit sphere, tightens it
-with cutting planes until the whole sphere is certified inside, and
-rescales so the lower sandwich bound is met with equality at the worst
-point found.
+pointwise modulus gap.  A weighted 2-norm is already Hilbert and gets its
+exact form, Gram = B^H W B with K = 1.  Otherwise the fit computes the
+minimum-volume centered ellipsoid enclosing a dense sample of the span's
+unit sphere, tightens it with cutting planes until the whole sphere is
+certified inside, and rescales so the lower sandwich bound is met with
+equality at the worst point found.
+
+Extrema of the ratio ||x||_H / ||x|| are located on a grid and polished.
+On the real circle each candidate gets a bounded Brent search.  On the
+complex sphere every polish of one stage (the grid starts of the scan and,
+while the support is refined, one start per support point) runs as a
+single lockstep Nelder-Mead batch that follows scipy's method step for
+step, so each simplex step costs one batched norm evaluation for all
+starts instead of one call per trial point.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+# bench/tracer.py wraps both names in this module as the hilbert polish
+# layer and cannot install if either is missing; only the real-field Brent
+# polish (minimize_scalar) is called here
+from scipy.optimize import minimize, minimize_scalar  # noqa: F401
 
-from .lattice import NormSpec, PhaseLatError, as_vector, check_same_dim
+from .lattice import (
+    NormSpec,
+    PhaseLatError,
+    as_vector,
+    check_same_dim,
+    require_independent,
+)
 
 __all__ = [
     "DependentVectorsError",
@@ -295,47 +313,140 @@ def _spread_starts(order, shape, count, min_gap):
     return picked
 
 
-def _scan_complex(fn, mode, n_s=65, n_phi=128):
-    """Extremum of fn over the complex coefficient sphere, grid plus polish."""
-    s = np.linspace(0.0, np.pi / 2, n_s)
-    phi = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
-    ss, pp = np.meshgrid(s, phi, indexing="ij")
-    rows = np.stack(
-        [np.cos(ss).ravel().astype(complex), np.sin(ss).ravel() * np.exp(1j * pp.ravel())],
+def _sphere_points(X, field):
+    # sphere parameters to coefficient rows: t -> (cos t, sin t) on the
+    # real circle, (s, phi) -> (cos s, sin s e^{i phi}) on the complex sphere
+    if field == "real":
+        return np.stack([np.cos(X[:, 0]), np.sin(X[:, 0])], axis=1)
+    return np.stack(
+        [np.cos(X[:, 0]).astype(complex), np.sin(X[:, 0]) * np.exp(1j * X[:, 1])],
         axis=1,
     )
-    vals = fn(rows)
-    sign = 1.0 if mode == "min" else -1.0
 
-    def point(x):
-        return np.array([[np.cos(x[0]), np.sin(x[0]) * np.exp(1j * x[1])]])
 
-    def obj(x):
-        return sign * float(fn(point(x))[0])
+def _nelder_mead_rows(fn, field, X0, sign, h, xatol, fatol, maxiter):
+    """Minimize sign * fn over sphere parameters from every row of X0 at once.
 
-    order = np.argsort(sign * vals)
-    starts = _spread_starts(order, (n_s, n_phi), 6, 4)
-    best_v = float(vals[order[0]])
-    best_c = rows[order[0]]
-    h = 0.5 * (s[1] - s[0])
-    for i, j in starts:
-        x0 = np.array([s[i], phi[j]])
-        res = minimize(
-            obj,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "initial_simplex": [x0, x0 + [h, 0.0], x0 + [0.0, h]],
-                "xatol": 1e-11,
-                "fatol": 1e-13,
-                "maxiter": 150,
-            },
+    Each start follows scipy's Nelder-Mead step for step: reflection 1,
+    expansion 2, contractions 1/2, shrink 1/2, the initial simplex x0 and
+    x0 + h e_k, scipy's xatol / fatol stopping test and its iteration cap.
+    sign, h, xatol, fatol and maxiter are scalars or one value per start.
+    All live starts advance together: one fn call per step scores the
+    reflection, the expansion and both contractions of every live start,
+    and a second call runs only for the starts that shrink.  Returns the
+    best parameters per start and their values of sign * fn.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    # trial points as a xbar + b worst: reflection, expansion, outside and
+    # inside contraction, with scipy's coefficients (negating b is exact)
+    ta = np.array([1 + rho, 1 + rho * chi, 1 + psi * rho, 1 - psi])[:, None]
+    tb = np.array([-rho, -rho * chi, -psi * rho, psi])[:, None]
+    X0 = np.asarray(X0, dtype=float)
+    B, N = X0.shape
+    sign, xatol, fatol, maxiter = (
+        np.broadcast_to(np.asarray(a, dtype=float), (B,))
+        for a in (sign, xatol, fatol, maxiter)
+    )
+    h = np.broadcast_to(np.asarray(h, dtype=float), (B,))
+
+    def score(S, sg):
+        # (m, k, N) parameter points -> (m, k) values of sign * fn
+        m, k = S.shape[:2]
+        vals = fn(_sphere_points(S.reshape(m * k, N), field)).reshape(m, k)
+        return sg[:, None] * vals
+
+    def sort(S, F):
+        order = np.argsort(F, axis=1)
+        at = np.arange(S.shape[0])[:, None]
+        return S[at, order], F[at, order]
+
+    S = X0[:, None, :] + h[:, None, None] * np.vstack([np.zeros(N), np.eye(N)])
+    S, F = sort(S, score(S, sign))
+    best_x = np.empty((B, N))
+    best_f = np.empty(B)
+    live = np.arange(B)
+    # every live start has taken the same number of steps
+    iters = 1
+    while True:
+        done = (iters >= maxiter) | (
+            (np.max(np.abs(S[:, 1:] - S[:, :1]), axis=(1, 2)) <= xatol)
+            & (np.max(np.abs(F[:, :1] - F[:, 1:]), axis=1) <= fatol)
         )
-        v = sign * res.fun
-        if (mode == "min" and v < best_v) or (mode == "max" and v > best_v):
-            best_v = v
-            best_c = point(res.x)[0]
-    return best_v, best_c
+        if done.any():
+            best_x[live[done]] = S[done, 0]
+            best_f[live[done]] = F[done, 0]
+            keep = ~done
+            live, S, F = live[keep], S[keep], F[keep]
+            sign, xatol, fatol, maxiter = sign[keep], xatol[keep], fatol[keep], maxiter[keep]
+            if live.size == 0:
+                return best_x, best_f
+        xbar = np.add.reduce(S[:, :-1], 1) / N
+        worst = S[:, -1]
+        trial = ta * xbar[:, None, :] + tb * worst[:, None, :]
+        ft = score(trial, sign)
+        fr, fe, fc, fcc = ft.T
+        # scipy's branch tree; each else is "comparison false", so NaN
+        # values route exactly as they do there
+        pick = np.where(
+            fr < F[:, 0],
+            np.where(fe < fr, 1, 0),
+            np.where(
+                fr < F[:, -2],
+                0,
+                np.where(
+                    fr < F[:, -1],
+                    np.where(fc <= fr, 2, -1),
+                    np.where(fcc < F[:, -1], 3, -1),
+                ),
+            ),
+        )
+        at = np.flatnonzero(pick >= 0)
+        S[at, -1] = trial[at, pick[at]]
+        F[at, -1] = ft[at, pick[at]]
+        at = np.flatnonzero(pick < 0)
+        if at.size:
+            S[at, 1:] = S[at, :1] + sigma * (S[at, 1:] - S[at, :1])
+            F[at, 1:] = score(S[at, 1:], sign[at])
+        S, F = sort(S, F)
+        iters += 1
+
+
+def _scan_complex(fn, signs, support=()):
+    """Extrema of fn over the complex coefficient sphere, grid plus polish.
+
+    For each sign, six spread grid minima of sign * fn seed polishes of
+    sign * fn; each row of ``support`` (sphere parameters) seeds a finer
+    polish towards the maximum of fn.  Every start runs in one lockstep
+    Nelder-Mead batch.  Returns one (value, coefficient row) extremum per
+    sign and the polished support rows.
+    """
+    n_s, n_phi = 65, 128
+    s = np.linspace(0.0, np.pi / 2, n_s)
+    phi = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
+    rows = _coeff_sphere_complex(n_s, n_phi)
+    vals = fn(rows)
+    h = 0.5 * (s[1] - s[0])
+    X0, opts, groups = [], [], []
+    for sign in signs:
+        order = np.argsort(sign * vals)
+        starts = _spread_starts(order, (n_s, n_phi), 6, 4)
+        groups.append((sign, int(order[0]), len(X0), len(X0) + len(starts)))
+        X0 += [(s[i], phi[j]) for i, j in starts]
+        opts += [(sign, h, 1e-11, 1e-13, 150)] * len(starts)
+    n_grid = len(X0)
+    X0 += [tuple(x) for x in support]
+    opts += [(-1.0, 5e-3, 1e-13, 1e-15, 200)] * (len(X0) - n_grid)
+    X, F = _nelder_mead_rows(fn, "complex", np.array(X0), *np.array(opts).T)
+    C = _sphere_points(X, "complex")
+    extrema = []
+    for sign, k0, a, b in groups:
+        # earliest strict improvement wins, the grid point first
+        k = int(np.argmin(np.concatenate([[sign * vals[k0]], F[a:b]])))
+        if k == 0:
+            extrema.append((float(vals[k0]), rows[k0]))
+        else:
+            extrema.append((sign * float(F[a + k - 1]), C[a + k - 1]))
+    return extrema, C[n_grid:]
 
 
 def _scan_real(fn, mode, n_t=4097):
@@ -402,20 +513,13 @@ def _support_exchange(rows, S, u_s, tol=3e-10, rounds=60):
     return Q, S, u_s
 
 
-def _sphere_param(c, field):
-    if field == "real":
-        return np.array([math.atan2(float(c[1]), float(c[0]))])
+def _sphere_param(c):
+    # inverse of _sphere_points on the complex sphere, up to a global phase
     a = abs(c[0])
     s = math.atan2(abs(c[1]), a)
     if a <= 1e-300:
         return np.array([s, float(np.angle(c[1]))])
     return np.array([s, float(np.angle(c[1] * np.conj(c[0])))])
-
-
-def _sphere_point(x, field):
-    if field == "real":
-        return np.array([[math.cos(x[0]), math.sin(x[0])]])
-    return np.array([[math.cos(x[0]), math.sin(x[0]) * np.exp(1j * x[1])]])
 
 
 def _merge_close(P, w, gap=1e-5):
@@ -440,7 +544,7 @@ def _norm_sq(c):
     return float(np.real(np.vdot(c, c)))
 
 
-def _refine_support(P, w, basis, norm, field, scan, tol=1e-8, rounds=8):
+def _refine_support(P, w, basis, norm, field, tol=1e-8, rounds=8):
     """Slide the support set onto the body's true contact points.
 
     Appending grid violators alone piles near-duplicates next to each
@@ -456,38 +560,23 @@ def _refine_support(P, w, basis, norm, field, scan, tol=1e-8, rounds=8):
     stall = 0
     for _ in range(rounds):
         fn = _ratio_fn(basis, norm, Q)
-        hi, hi_c = scan(fn, "max")
-
-        def neg(x):
-            return -float(fn(_sphere_point(x, field))[0])
-
-        moved = [hi_c / norm(basis @ hi_c)]
-        for c in P:
-            x0 = _sphere_param(c, field)
-            if field == "real":
+        if field == "real":
+            hi, hi_c = _scan_real(fn, "max")
+            moved = [hi_c]
+            for c in P:
+                t0 = math.atan2(float(c[1]), float(c[0]))
                 res = minimize_scalar(
                     _neg_scalar(fn),
-                    bounds=(x0[0] - 0.02, x0[0] + 0.02),
+                    bounds=(t0 - 0.02, t0 + 0.02),
                     method="bounded",
                     options={"xatol": 1e-13, "maxiter": 200},
                 )
-                c1 = _sphere_point(np.array([res.x]), field)[0]
-            else:
-                h = 5e-3
-                res = minimize(
-                    neg,
-                    x0,
-                    method="Nelder-Mead",
-                    options={
-                        "initial_simplex": [x0, x0 + [h, 0.0], x0 + [0.0, h]],
-                        "xatol": 1e-13,
-                        "fatol": 1e-15,
-                        "maxiter": 200,
-                    },
-                )
-                c1 = _sphere_point(res.x, field)[0]
-            moved.append(c1 / norm(basis @ c1))
-        new = np.stack(moved)
+                moved.append(np.array([math.cos(res.x), math.sin(res.x)]))
+        else:
+            X0 = [_sphere_param(c) for c in P]
+            [(hi, hi_c)], polished = _scan_complex(fn, (-1.0,), X0)
+            moved = [hi_c, *polished]
+        new = np.stack([c / norm(basis @ c) for c in moved])
         # the support-seeded maxima see spikes the grid scan smooths over,
         # so they join the measurement of the current enclosure
         hi = max(hi, float(np.max(fn(new))))
@@ -532,30 +621,12 @@ def _sphere_rows(field, count, seed=182818284):
     return z / np.linalg.norm(z, axis=1)[:, None]
 
 
-def fit_hilbert_norm(f, g, norm, field="complex"):
-    """Fit a Hilbert norm on span{f, g} equivalent to the lattice norm.
-
-    Returns a HilbertForm whose norm satisfies
-    ||x|| <= ||x||_H <= distortion_K * ||x|| on the span, with
-    distortion_K <= sqrt(2) up to solver tolerance.  Raises
-    DependentVectorsError for (numerically) dependent inputs and
-    FitDistortionError if the measured distortion lands above the
-    sqrt(2) + 0.05 threshold.
-    """
-    f = as_vector(f, field)
-    g = as_vector(g, field)
-    check_same_dim(f, g)
-    basis = np.stack([f, g], axis=1)
-    sv = np.linalg.svd(basis, compute_uv=False)
-    if sv[-1] <= 1e-10 * sv[0]:
-        raise DependentVectorsError("basis vectors are numerically dependent")
-
+def _fit_ellipsoid(basis, norm, field):
+    """Gram matrix and measured distortion of the rescaled enclosing ellipsoid."""
     if field == "complex":
         rows = _coeff_sphere_complex(65, 128)
-        scan = _scan_complex
     else:
         rows = _coeff_sphere_real(4096)
-        scan = _scan_real
     rows = rows / norm.of_rows(rows @ basis.T)[:, None]
 
     S = list(dict.fromkeys(np.linspace(0, rows.shape[0] - 1, 9).astype(int).tolist()))
@@ -566,20 +637,46 @@ def fit_hilbert_norm(f, g, norm, field="complex"):
     act = u_s > 1e-12
     P = rows[np.asarray(S)[act]]
     w = u_s[act] / u_s[act].sum()
-    Q, hi_seeded = _refine_support(P, w, basis, norm, field, scan)
+    Q, hi_seeded = _refine_support(P, w, basis, norm, field)
 
     fn = _ratio_fn(basis, norm, Q)
-    hi, _ = scan(fn, "max")
+    if field == "complex":
+        (hi, _), (lo, _) = _scan_complex(fn, (-1.0, 1.0))[0]
+    else:
+        hi, _ = _scan_real(fn, "max")
+        lo, _ = _scan_real(fn, "min")
     hi = max(hi, hi_seeded)
-    lo, _ = scan(fn, "min")
-    samples = _sphere_rows(field, 2048)
-    sample_ratios = fn(samples)
+    sample_ratios = fn(_sphere_rows(field, 2048))
     lo = min(lo, float(sample_ratios.min()))
     hi = max(hi, float(sample_ratios.max()))
+    return Q / lo**2, hi / lo
 
-    gram = Q / lo**2
+
+def fit_hilbert_norm(f, g, norm, field="complex"):
+    """Fit a Hilbert norm on span{f, g} equivalent to the lattice norm.
+
+    Returns a HilbertForm whose norm satisfies
+    ||x|| <= ||x||_H <= distortion_K * ||x|| on the span, with
+    distortion_K <= sqrt(2) up to solver tolerance; a weighted 2-norm gets
+    its own Gram matrix B^H W B and distortion_K = 1.  Raises
+    DependentVectorsError for (numerically) dependent inputs and
+    FitDistortionError if the measured distortion lands above the
+    sqrt(2) + 0.05 threshold.
+    """
+    f = as_vector(f, field)
+    g = as_vector(g, field)
+    check_same_dim(f, g)
+    basis = np.stack([f, g], axis=1)
+    require_independent(
+        basis, DependentVectorsError("basis vectors are numerically dependent")
+    )
+
+    if norm.p == 2.0:
+        # the norm is Hilbert already: ||B c||^2 = c^H (B^H W B) c
+        gram, distortion = np.conj(basis.T) @ norm._weighted(basis.T).T, 1.0
+    else:
+        gram, distortion = _fit_ellipsoid(basis, norm, field)
     gram = 0.5 * (gram + np.conj(gram.T))
-    distortion = hi / lo
     if distortion > DISTORTION_LIMIT:
         raise FitDistortionError(
             f"fitted distortion {distortion:.6f} exceeds {DISTORTION_LIMIT:.6f}"

@@ -49,6 +49,17 @@ def check_same_dim(*vecs):
         raise ValueError(f"dimension mismatch: {sorted(dims)}")
 
 
+def require_independent(mat, err):
+    """Raise ``err`` unless the 2-d array has numerically full rank.
+
+    The rank test shared by every caller: the smallest singular value must
+    exceed 1e-10 times the largest.
+    """
+    sv = np.linalg.svd(mat, compute_uv=False)
+    if sv[-1] <= 1e-10 * sv[0]:
+        raise err
+
+
 def meet(x, y):
     """Coordinatewise infimum x ^ y of two real vectors."""
     x, y = np.asarray(x), np.asarray(y)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Ambient, PhaseLatError, as_vector
+from .lattice import Ambient, PhaseLatError, as_vector, require_independent
 from .phase_metric import RATIO_ATOL_SCALE, PairWitness, spr_ratio
 from . import builders
 
@@ -61,9 +61,7 @@ class Subspace:
         if rows.shape[1] != self.ambient.dim:
             raise ValueError("basis vectors do not match the ambient dimension")
         if rows.shape[0] > 1:
-            sv = np.linalg.svd(rows, compute_uv=False)
-            if sv[-1] <= 1e-10 * sv[0]:
-                raise ValueError("basis is numerically dependent")
+            require_independent(rows, ValueError("basis is numerically dependent"))
         object.__setattr__(self, "basis", rows)
 
     @property

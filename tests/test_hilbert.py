@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from phaselat import (
     DependentVectorsError,
+    FitDistortionError,
     NormSpec,
     PreconditionError,
     SpanError,
@@ -14,6 +16,8 @@ from phaselat import (
     orthogonal_reduce,
     unimodular_distance,
 )
+from phaselat import hilbert
+from phaselat.hilbert import _nelder_mead_rows, _ratio_fn, _sphere_points
 from conftest import random_vec
 
 SQRT2 = np.sqrt(2.0)
@@ -56,15 +60,65 @@ def test_fit_stays_under_guarantee(rng):
     assert 1.0 <= H.distortion_K <= SQRT2 + 0.05
 
 
-def test_fitted_norm_sandwich(rng):
-    norm = NormSpec(1.0)
-    f = random_vec(rng, 5, "complex")
-    g = random_vec(rng, 5, "complex")
-    H = fit_hilbert_norm(f, g, norm)
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
+def test_fitted_norm_sandwich(rng, field, p):
+    norm = NormSpec(p)
+    f = random_vec(rng, 5, field)
+    g = random_vec(rng, 5, field)
+    H = fit_hilbert_norm(f, g, norm, field=field)
     X = _sphere_samples(rng, H)
     for x in X[np.linalg.norm(X, axis=1) > 1e-8]:
         r = H.norm_h(x) / norm(x)
         assert 1.0 - 1e-9 <= r <= H.distortion_K + 1e-9
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_weighted_two_norm_fit_is_exact(rng, field):
+    w = rng.uniform(0.5, 2.0, 6)
+    norm = NormSpec(2.0, weights=w)
+    f = random_vec(rng, 6, field)
+    g = random_vec(rng, 6, field)
+    H = fit_hilbert_norm(f, g, norm, field=field)
+    B = np.stack([f, g], axis=1)
+    np.testing.assert_allclose(H.gram, np.conj(B.T) @ np.diag(w) @ B,
+                               rtol=0, atol=1e-13 * np.max(np.abs(H.gram)))
+    assert H.distortion_K == 1.0
+    for x in _sphere_samples(rng, H, count=200):
+        assert H.norm_h(x) == pytest.approx(norm(x), rel=1e-12)
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+def test_nelder_mead_rows_matches_scipy(rng, field):
+    # both option sets the complex fit uses: grid starts (half a grid step,
+    # 1e-11 / 1e-13, 150 steps) and support polishes (5e-3, 1e-13 / 1e-15, 200)
+    opts = [(0.25 * np.pi / 64, 1e-11, 1e-13, 150)] * 8 + [(5e-3, 1e-13, 1e-15, 200)] * 8
+    h, xatol, fatol, maxiter = np.array(opts).T
+    dim = 2 if field == "complex" else 1
+    for p in (1.0, 3.0, np.inf):
+        basis = np.stack([random_vec(rng, 5, field) for _ in range(2)], axis=1)
+        A = random_vec(rng, 4, field).reshape(2, 2)
+        fn = _ratio_fn(basis, NormSpec(p), np.conj(A.T) @ A + 0.5 * np.eye(2))
+        X0 = np.column_stack([rng.uniform(0.0, np.pi / 2, 16),
+                              rng.uniform(0.0, 2 * np.pi, 16)])[:, :dim]
+        sign = np.where(np.arange(16) % 2 == 0, 1.0, -1.0)
+        _, F = _nelder_mead_rows(fn, field, X0, sign, h, xatol, fatol, maxiter)
+        for k, x0 in enumerate(X0):
+            def obj(x, s=sign[k]):
+                return s * float(fn(_sphere_points(x[None, :], field))[0])
+
+            res = minimize(
+                obj,
+                x0,
+                method="Nelder-Mead",
+                options={
+                    "initial_simplex": x0 + h[k] * np.vstack([np.zeros(dim), np.eye(dim)]),
+                    "xatol": xatol[k],
+                    "fatol": fatol[k],
+                    "maxiter": int(maxiter[k]),
+                },
+            )
+            assert abs(F[k] - res.fun) <= 1e-12
 
 
 def test_align_pair_quarter_turn():
@@ -167,6 +221,18 @@ def test_fit_rejects_dependent_vectors(rng):
     f = random_vec(rng, 4, "complex")
     with pytest.raises(DependentVectorsError):
         fit_hilbert_norm(f, 2.0 * f, NormSpec(2.0))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_fit_rejects_distortion_above_limit(rng, monkeypatch, field):
+    # a refinement that hands back a badly shaped ellipsoid is measured by
+    # the final scans and refused, not reported
+    monkeypatch.setattr(hilbert, "_refine_support",
+                        lambda *args: (np.diag([1.0, 100.0]), 1.0))
+    f = random_vec(rng, 4, field)
+    g = random_vec(rng, 4, field)
+    with pytest.raises(FitDistortionError):
+        fit_hilbert_norm(f, g, NormSpec(np.inf), field=field)
 
 
 def test_coeffs_rejects_outside_span(rng):

@@ -2,14 +2,14 @@
 
 The three identities are exact algebra; tests check the coordinatewise
 float evaluation. Square roots are not Lipschitz at zero, so the
-adversarial (hypothesis) form of the sum/difference identity compares
-squares, where float error stays linear; the sqrt-scale tolerance is
-exercised on continuous random draws in test_acceptance.
+adversarial (hypothesis) forms of the identities compare squares, where
+float error stays linear in the operands' scale; the sqrt-scale tolerance
+is exercised on continuous random draws in test_acceptance.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from phaselat import (
@@ -58,14 +58,23 @@ def test_product_splits_into_join_and_meet(pair):
 
 
 @given(complex_pairs(), entries, entries)
+# Re(f conj g) cancels to exactly 0 here, the scaled product to 3.6e-15
+@example(
+    pair=(np.array([1.0 + 9.0j]), np.array([-9.0 + 1.0j])),
+    lam=3.0,
+    mu=1.8679965486026227,
+)
 def test_real_scalars_factor_out_of_perp_profile(pair, lam, mu):
     f, g = pair
-    lhs = perp_profile(lam * f, mu * g)
-    rhs = np.sqrt(abs(lam * mu)) * perp_profile(f, g)
-    np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
+    lhs = perp_profile(lam * f, mu * g) ** 2
+    rhs = abs(lam * mu) * perp_profile(f, g) ** 2
+    scale = 1.0 + abs(lam * mu) * float(np.max(modulus(f)) * np.max(modulus(g)))
+    np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12 * scale)
 
 
 @given(complex_pairs())
+# |f + g| and |f - g| agree to 2e-15, so both square roots see a cancelled sum
+@example(pair=(np.array([1.0j]), np.array([1.0 + 1.13159377e-15j])))
 def test_sum_difference_identity_squared(pair):
     f, g = pair
     a = modulus(f + g)
@@ -77,7 +86,7 @@ def test_sum_difference_identity_squared(pair):
     )
     # the two right-hand forms factor the same quantity
     np.testing.assert_allclose(
-        np.sqrt(np.abs(a * a - b * b)), np.sqrt(a + b) * np.sqrt(np.abs(a - b)),
+        np.abs(a * a - b * b), (a + b) * np.abs(a - b),
         rtol=0, atol=1e-10 * scale,
     )
 
