@@ -41,6 +41,7 @@ from .hilbert import (
     fit_hilbert_norm,
     nonneg_rotation,
     orthogonal_reduce,
+    reduce_pair,
 )
 from .search import (
     InfeasibleError,
@@ -76,7 +77,7 @@ __all__ = [
     "AlignedPair", "CertificateError", "DependentVectorsError",
     "FitDistortionError", "HilbertForm", "PreconditionError",
     "ReductionResult", "SpanError", "align_pair", "fit_hilbert_norm",
-    "nonneg_rotation", "orthogonal_reduce",
+    "nonneg_rotation", "orthogonal_reduce", "reduce_pair",
     "InfeasibleError", "PRVerdict", "SPREstimate", "SearchBudget",
     "Subspace", "check_pr", "estimate_spr_constant",
     "search_almost_disjoint", "search_perp_pair",

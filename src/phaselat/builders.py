@@ -29,8 +29,8 @@ from .hilbert import (
     PreconditionError,
     align_pair,
     fit_hilbert_norm,
-    nonneg_rotation,
     orthogonal_reduce,
+    reduce_pair,
 )
 
 __all__ = [
@@ -246,9 +246,7 @@ def spr_failure_to_perp_pair(f, g, norm, m, epsilon, field="complex"):
             f"C = {params.C_required:.6g}"
         )
 
-    H = fit_hilbert_norm(f, g, norm, field=field)
-    g_rot, mu = nonneg_rotation(f, g, H)
-    red = orthogonal_reduce(f, g_rot, H, mu=mu)
+    _, red = reduce_pair(f, g, norm, field=field)
     f1, g1 = red.f_prime, red.g_prime
     if norm(f1) < norm(g1):
         f1, g1 = g1, f1

@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import builders
-from .hilbert import fit_hilbert_norm, nonneg_rotation, orthogonal_reduce
+from .hilbert import reduce_pair
 from .lattice import (
     Ambient,
     NormSpec,
@@ -292,9 +292,7 @@ def cmd_reduce(args):
     ambient, _, pair = _load_problem(args.file, need_pair=True)
     f, g = pair
     norm, field = ambient.norm, ambient.field
-    H = fit_hilbert_norm(f, g, norm, field=field)
-    g_rot, mu = nonneg_rotation(f, g, H)
-    red = orthogonal_reduce(f, g_rot, H, mu=mu)
+    H, red = reduce_pair(f, g, norm, field=field)
     f1, g1 = red.f_prime, red.g_prime
 
     K = H.distortion_K

@@ -53,6 +53,7 @@ __all__ = [
     "align_pair",
     "nonneg_rotation",
     "orthogonal_reduce",
+    "reduce_pair",
 ]
 
 SQRT2 = float(np.sqrt(2.0))
@@ -823,3 +824,15 @@ def orthogonal_reduce(f, g, H, mu=1.0):
     if np.any(drift > caps):
         raise CertificateError("difference not preserved to rounding accuracy")
     return ReductionResult(f_prime=f1, g_prime=g1, mu=mu, R=R)
+
+
+def reduce_pair(f, g, norm, field="complex"):
+    """Fit the span's Hilbert form, rotate g, and reduce the pair.
+
+    The chain fit_hilbert_norm -> nonneg_rotation -> orthogonal_reduce:
+    g is turned by the unimodular mu that makes <f, mu g>_H nonnegative,
+    then (f, mu g) is orthogonally reduced.  Returns (H, ReductionResult).
+    """
+    H = fit_hilbert_norm(f, g, norm, field=field)
+    g_rot, mu = nonneg_rotation(f, g, H)
+    return H, orthogonal_reduce(f, g_rot, H, mu=mu)

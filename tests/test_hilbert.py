@@ -14,6 +14,7 @@ from phaselat import (
     fit_hilbert_norm,
     nonneg_rotation,
     orthogonal_reduce,
+    reduce_pair,
     unimodular_distance,
 )
 from phaselat import hilbert
@@ -197,6 +198,43 @@ def test_reduction_chain_postconditions(rng, field, p):
         sep_after = unimodular_distance(f1, g1, norm, field=field).distance
         assert sep_before <= K * sep_after + 1e-8
         assert np.hypot(norm(f1), norm(g1)) <= K * sep_after + 1e-8
+
+
+def _assert_reduction_contract(H, f, g, red):
+    # criterion 7's contract: distortion cap, H-orthogonality, no growth
+    # of the modulus gap, and the bitwise construction f - R(f+g)
+    f1, g1 = red.f_prime, red.g_prime
+    assert H.distortion_K <= SQRT2 + 0.05
+    assert abs(H.inner(f1, g1)) < 1e-10 * H.norm_h(f1) * H.norm_h(g1)
+    assert np.all(np.abs(np.abs(f1) - np.abs(g1))
+                  <= np.abs(np.abs(f) - np.abs(g)) + 1e-12)
+    t = red.R * (f + g)
+    assert np.array_equal(f1, f - t)
+    assert np.array_equal(g1, g - t)
+    drift = np.abs((f1 - g1) - (f - g))
+    caps = 4.0 * np.spacing(
+        np.maximum.reduce([np.abs(f1), np.abs(g1), np.abs(f), np.abs(g)]).real
+        + 1e-300
+    )
+    assert np.all(drift <= caps)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
+def test_reduction_contract_on_every_field_and_p(rng, field, p):
+    # criterion 7's stream only pairs complex with p in {2, inf} and real
+    # with p in {1, 3}; this covers all 8 combinations, through both the
+    # rotation chain of reduce_pair and the alignment chain
+    norm = NormSpec(p)
+    for _ in range(3):
+        n = int(rng.integers(2, 7))
+        f = random_vec(rng, n, field)
+        g = random_vec(rng, n, field)
+        H, red = reduce_pair(f, g, norm, field=field)
+        _assert_reduction_contract(H, f, red.mu * g, red)
+        al = align_pair(f, g, H)
+        _assert_reduction_contract(
+            H, al.f, al.g, orthogonal_reduce(al.f, al.g, H, mu=al.mu))
 
 
 def test_nonneg_rotation_properties(rng):

@@ -40,18 +40,86 @@ def test_grid_method_agrees_with_closed_form(rng):
             closed_form_l2_distance(f, g, weights=w), abs=1e-10)
 
 
+def _bridged_pair(rng, n):
+    # disjoint supports plus one shared coordinate
+    f = random_vec(rng, n, "complex")
+    g = random_vec(rng, n, "complex")
+    on_f = rng.permutation(n) < n // 2
+    f[~on_f] = 0.0
+    g[on_f] = 0.0
+    k = int(rng.integers(n))
+    f[k], g[k] = rng.uniform(0.01, 0.3, 2) * np.exp(2j * np.pi * rng.random(2))
+    return f, g
+
+
+def _perp_sum_difference_pair(rng, n):
+    # u and v with Re(u conj v) = 0 in every coordinate: v is a real
+    # multiple of iu on a shared block and disjoint from u elsewhere
+    u = random_vec(rng, n, "complex")
+    v = 1j * rng.standard_normal(n) * u
+    only_v = rng.permutation(n) < n // 3
+    u[only_v] = 0.0
+    v[only_v] = random_vec(rng, int(only_v.sum()), "complex")
+    return u + v, u - v
+
+
+_FAMILIES = (
+    ("random", 25, lambda rng, n: (random_vec(rng, n, "complex"),
+                                   random_vec(rng, n, "complex"))),
+    ("bridged", 12, _bridged_pair),
+    ("perp", 12, _perp_sum_difference_pair),
+)
+
+
 @pytest.mark.parametrize("p", [1.0, 3.0, np.inf])
 def test_solver_matches_dense_grid_oracle(rng, p):
     norm = NormSpec(p)
-    for _ in range(25):
-        n = int(rng.integers(2, 9))
-        f = random_vec(rng, n, "complex")
-        g = random_vec(rng, n, "complex")
-        got = unimodular_distance(f, g, norm).distance
-        want = grid_distance(f, g, p)
-        assert abs(got - want) <= 1e-6
-        # the solver refines grid minima, so it can only sit below
-        assert got <= want + 1e-12
+    for family, count, draw in _FAMILIES:
+        for _ in range(count):
+            n = int(rng.integers(2, 9))
+            f, g = draw(rng, n)
+            out = unimodular_distance(f, g, norm)
+            got = out.distance
+            want = grid_distance(f, g, p)
+            assert abs(got - want) <= 1e-6, family
+            # the solver refines grid minima, so it can only sit below
+            assert got <= want + 1e-12, family
+            # the distance is achieved by the returned scalar
+            assert abs(got - norm(f - out.lambda_star * g)) <= 1e-12, family
+
+
+def _count_norm_calls(monkeypatch):
+    calls = [0]
+    for attr in ("__call__", "of_rows"):
+        fn = getattr(NormSpec, attr)
+
+        def counted(self, x, _fn=fn):
+            calls[0] += 1
+            return _fn(self, x)
+
+        monkeypatch.setattr(NormSpec, attr, counted)
+    return calls
+
+
+def test_plateau_pairs_cost_a_bounded_number_of_norm_calls(rng, monkeypatch):
+    # on each pair the distance does not depend on the angle, so every
+    # grid point (at p = 1, most of them, up to rounding) is a local
+    # minimum; the cost must not grow with the number of tied minima
+    f = random_vec(rng, 6, "complex")
+    g = random_vec(rng, 6, "complex")
+    f[3:] = 0.0
+    g[:3] = 0.0
+    cases = [
+        (f, g, NormSpec(np.inf), max(np.max(np.abs(f)), np.max(np.abs(g)))),
+        (f, g, NormSpec(1.0), np.sum(np.abs(f)) + np.sum(np.abs(g))),
+        (f, np.zeros(6, dtype=complex), NormSpec(3.0), NormSpec(3.0)(f)),
+    ]
+    calls = _count_norm_calls(monkeypatch)
+    for f_, g_, norm, want in cases:
+        calls[0] = 0
+        got = unimodular_distance(f_, g_, norm).distance
+        assert got == pytest.approx(want, abs=1e-12)
+        assert calls[0] <= 60
 
 
 def test_real_field_compares_two_signs(rng):
@@ -166,3 +234,5 @@ def test_solver_input_validation(rng):
         unimodular_distance(f, g, NormSpec(2.0), method="newton")
     with pytest.raises(ValueError):
         unimodular_distance(f, random_vec(rng, 4, "complex"), NormSpec(2.0))
+    with pytest.raises(ValueError):
+        unimodular_distance(np.array([np.nan, 1.0]), g[:2], NormSpec(3.0))
