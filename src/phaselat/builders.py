@@ -27,6 +27,8 @@ from .hilbert import (
     SQRT2,
     CertificateError,
     PreconditionError,
+    _sphere_grid,
+    _sphere_rows,
     align_pair,
     fit_hilbert_norm,
     orthogonal_reduce,
@@ -49,6 +51,17 @@ __all__ = [
 
 # the separation parameter of an almost-perpendicular pair lives below this
 M_RANGE_MAX = 1.0 / SQRT2 - 0.5
+
+
+def _floor_rows(field, *grid_shape):
+    # coefficient rows of the sphere-floor spot check: a seeded random
+    # sample plus a grid
+    rows = np.vstack([_sphere_rows(field, 4096, 417386), _sphere_grid(field, *grid_shape)[1]])
+    rows.flags.writeable = False
+    return rows
+
+
+_FLOOR_ROWS = {"real": _floor_rows("real", 512), "complex": _floor_rows("complex", 33, 64)}
 
 
 def _m_of_theta(theta):
@@ -276,27 +289,6 @@ def spr_failure_to_perp_pair(f, g, norm, m, epsilon, field="complex"):
     return wit
 
 
-def _coeff_sphere_samples(field, count=4096, seed=417386):
-    rng = np.random.default_rng(seed)
-    if field == "complex":
-        z = rng.standard_normal((count, 4))
-        z /= np.linalg.norm(z, axis=1)[:, None]
-        rows = z[:, :2] + 1j * z[:, 2:]
-        s = np.linspace(0.0, np.pi / 2, 33)
-        phi = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
-        ss, pp = np.meshgrid(s, phi, indexing="ij")
-        grid = np.stack(
-            [np.cos(ss).ravel().astype(complex),
-             np.sin(ss).ravel() * np.exp(1j * pp.ravel())],
-            axis=1,
-        )
-        return np.vstack([rows, grid])
-    z = rng.standard_normal((count, 2))
-    z /= np.linalg.norm(z, axis=1)[:, None]
-    t = np.linspace(0.0, np.pi, 512, endpoint=False)
-    return np.vstack([z, np.stack([np.cos(t), np.sin(t)], axis=1)])
-
-
 def perp_pair_to_spr_failure(u, v, norm, m, C, field="complex"):
     """Turn a separated almost-perpendicular pair into an SPR failure.
 
@@ -345,9 +337,8 @@ def perp_pair_to_spr_failure(u, v, norm, m, C, field="complex"):
             f"modulus gap {den:.3e} exceeds 2 perp = {2 * perp:.3e}"
         )
 
-    coeffs = _coeff_sphere_samples(field)
     basis = np.stack([u, v], axis=1)
-    floor = float(np.min(norm.of_rows(coeffs @ basis.T)))
+    floor = float(np.min(norm.of_rows(_FLOOR_ROWS[field] @ basis.T)))
     if floor < delta * m / 2.0 - 1e-9:
         raise CertificateError(
             f"coefficient-sphere floor {floor:.9f} below delta m/2 = "

@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import builders
-from .hilbert import reduce_pair
+from .hilbert import PreconditionError, reduce_pair
 from .lattice import (
     Ambient,
     NormSpec,
@@ -88,11 +88,17 @@ def _entry_in(e, field, where):
 def _vector_in(obj, field, dim, where):
     if not isinstance(obj, list):
         raise ProblemError(f"{where}: expected an array")
-    vec = [_entry_in(e, field, f"{where}[{i}]") for i, e in enumerate(obj)]
+    try:
+        vec = [_entry_in(e, field, f"{where}[{i}]") for i, e in enumerate(obj)]
+    except OverflowError:
+        raise ProblemError(f"{where}: entries must be finite")
     if dim is not None and len(vec) != dim:
         raise ProblemError(f"{where}: expected {dim} entries, got {len(vec)}")
-    dtype = complex if field == "complex" else float
-    return np.array(vec, dtype=dtype)
+    out = np.array(vec, dtype=complex if field == "complex" else float)
+    # json.load reads NaN, Infinity and out-of-range exponents
+    if not np.all(np.isfinite(out)):
+        raise ProblemError(f"{where}: entries must be finite")
+    return out
 
 
 def _load_problem(path, need_basis=False, need_pair=False):
@@ -324,6 +330,13 @@ def cmd_reduce(args):
     return _report(args, "reduce", payload, t0, ok=all(checks.values()))
 
 
+def _normalized(x, norm):
+    s = norm(x)
+    if s == 0.0:
+        raise PreconditionError("pair vectors must be nonzero to normalize")
+    return x / s
+
+
 def cmd_build(args):
     t0 = time.perf_counter()
     ambient, _, pair = _load_problem(args.file, need_pair=True)
@@ -331,8 +344,8 @@ def cmd_build(args):
     norm, field = ambient.norm, ambient.field
 
     if args.builder == "adp2spr":
-        u = x / norm(x)
-        v = y / norm(y)
+        u = _normalized(x, norm)
+        v = _normalized(y, norm)
         res = builders.adp_to_spr_violation(u, v, norm, field=field)
         eps_p = norm(meet(modulus(u), modulus(v)))
         rep = spr_ratio(res.f_prime, res.g_prime, norm, field=field)
@@ -353,8 +366,8 @@ def cmd_build(args):
             "witness": _witness_payload(wit, field),
         }
     elif args.builder == "perp2spr":
-        u = x / norm(x)
-        v = y / norm(y)
+        u = _normalized(x, norm)
+        v = _normalized(y, norm)
         res = builders.perp_pair_to_spr_failure(u, v, norm, args.m, args.C, field=field)
         payload = {
             "m": _num(args.m),

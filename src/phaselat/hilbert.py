@@ -15,6 +15,8 @@ certified inside, and rescales so the lower sandwich bound is met with
 equality at the worst point found.
 
 Extrema of the ratio ||x||_H / ||x|| are located on a grid and polished.
+Every grid and the random sphere sample are fixed module constants, built
+once by mapping sphere parameters to coefficient rows in _sphere_points.
 On the real circle each candidate gets a bounded Brent search.  On the
 complex sphere every polish of one stage (the grid starts of the scan and,
 while the support is refined, one start per support point) runs as a
@@ -271,22 +273,6 @@ def _mvee_centered(C, tol=1e-10, max_iter=600, warm=None):
     return minv / d, u
 
 
-def _coeff_sphere_complex(n_s, n_phi):
-    # rows (cos s, sin s e^{i phi}) cover the projective coefficient sphere
-    s = np.linspace(0.0, np.pi / 2, n_s)
-    phi = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
-    ss, pp = np.meshgrid(s, phi, indexing="ij")
-    return np.stack(
-        [np.cos(ss).ravel().astype(complex), np.sin(ss).ravel() * np.exp(1j * pp.ravel())],
-        axis=1,
-    )
-
-
-def _coeff_sphere_real(n_t):
-    t = np.linspace(0.0, np.pi, n_t, endpoint=False)
-    return np.stack([np.cos(t), np.sin(t)], axis=1)
-
-
 def _ratio_fn(basis, norm, Q):
     def fn(rows):
         q = np.sqrt(np.maximum(_quad_rows(Q, rows), 0.0))
@@ -323,6 +309,55 @@ def _sphere_points(X, field):
         [np.cos(X[:, 0]).astype(complex), np.sin(X[:, 0]) * np.exp(1j * X[:, 1])],
         axis=1,
     )
+
+
+def _sphere_param(c, field):
+    # inverse of _sphere_points, up to a global phase on the complex sphere
+    if field == "real":
+        return np.array([math.atan2(float(c[1]), float(c[0]))])
+    a = abs(c[0])
+    s = math.atan2(abs(c[1]), a)
+    if a <= 1e-300:
+        return np.array([s, float(np.angle(c[1]))])
+    return np.array([s, float(np.angle(c[1] * np.conj(c[0])))])
+
+
+def _sphere_grid(field, n, n_phi=None):
+    # read-only parameters and rows of a fixed grid: n angles t in [0, pi),
+    # or n latitudes s in [0, pi/2] by n_phi phases phi in [0, 2 pi)
+    if field == "real":
+        X = np.linspace(0.0, np.pi, n, endpoint=False)[:, None]
+    else:
+        s = np.linspace(0.0, np.pi / 2, n)
+        phi = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
+        X = np.stack([np.repeat(s, n_phi), np.tile(phi, n)], axis=1)
+    rows = _sphere_points(X, field)
+    X.flags.writeable = rows.flags.writeable = False
+    return X, rows
+
+
+def _sphere_rows(field, count, seed):
+    """Fixed-seed sample of the realified coefficient sphere, read-only."""
+    rng = np.random.default_rng(seed)
+    if field == "complex":
+        z = rng.standard_normal((count, 4))
+        z /= np.linalg.norm(z, axis=1)[:, None]
+        rows = z[:, :2] + 1j * z[:, 2:]
+    else:
+        z = rng.standard_normal((count, 2))
+        rows = z / np.linalg.norm(z, axis=1)[:, None]
+    rows.flags.writeable = False
+    return rows
+
+
+# fixed grids, built once: the enclosure's candidate rows per field (the
+# complex grid also serves the complex scans) and the real scan's circle
+_COMPLEX_SHAPE = (65, 128)
+_FIT_GRID = {"real": _sphere_grid("real", 4096),
+             "complex": _sphere_grid("complex", *_COMPLEX_SHAPE)}
+_SCAN_REAL = _sphere_grid("real", 4097)
+# the distortion measurement required of every fitted form
+_SAMPLE = {field: _sphere_rows(field, 2048, 182818284) for field in ("real", "complex")}
 
 
 def _nelder_mead_rows(fn, field, X0, sign, h, xatol, fatol, maxiter):
@@ -421,21 +456,19 @@ def _scan_complex(fn, signs, support=()):
     Nelder-Mead batch.  Returns one (value, coefficient row) extremum per
     sign and the polished support rows.
     """
-    n_s, n_phi = 65, 128
-    s = np.linspace(0.0, np.pi / 2, n_s)
-    phi = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
-    rows = _coeff_sphere_complex(n_s, n_phi)
+    grid, rows = _FIT_GRID["complex"]
+    n_phi = _COMPLEX_SHAPE[1]
     vals = fn(rows)
-    h = 0.5 * (s[1] - s[0])
+    h = 0.5 * (grid[n_phi, 0] - grid[0, 0])
     X0, opts, groups = [], [], []
     for sign in signs:
         order = np.argsort(sign * vals)
-        starts = _spread_starts(order, (n_s, n_phi), 6, 4)
+        starts = _spread_starts(order, _COMPLEX_SHAPE, 6, 4)
         groups.append((sign, int(order[0]), len(X0), len(X0) + len(starts)))
-        X0 += [(s[i], phi[j]) for i, j in starts]
+        X0 += [grid[i * n_phi + j] for i, j in starts]
         opts += [(sign, h, 1e-11, 1e-13, 150)] * len(starts)
     n_grid = len(X0)
-    X0 += [tuple(x) for x in support]
+    X0 += list(support)
     opts += [(-1.0, 5e-3, 1e-13, 1e-15, 200)] * (len(X0) - n_grid)
     X, F = _nelder_mead_rows(fn, "complex", np.array(X0), *np.array(opts).T)
     C = _sphere_points(X, "complex")
@@ -450,37 +483,50 @@ def _scan_complex(fn, signs, support=()):
     return extrema, C[n_grid:]
 
 
-def _scan_real(fn, mode, n_t=4097):
-    t = np.linspace(0.0, np.pi, n_t, endpoint=False)
-    rows = np.stack([np.cos(t), np.sin(t)], axis=1)
-    vals = fn(rows)
-    sign = 1.0 if mode == "min" else -1.0
-    sv = sign * vals
-    local = (sv <= np.roll(sv, 1)) & (sv <= np.roll(sv, -1))
-    cand = np.flatnonzero(local)
-    cand = cand[np.argsort(sv[cand])][:8]
+def _circle_polish(fn, sign, t0, half, xatol, maxiter):
+    """Bounded Brent search of sign * fn on the real circle over t0 +- half.
+
+    Returns the best value of sign * fn and its coefficient row.
+    """
+    res = minimize_scalar(
+        lambda t: sign * float(fn(np.array([[math.cos(t), math.sin(t)]]))[0]),
+        bounds=(t0 - half, t0 + half),
+        method="bounded",
+        options={"xatol": xatol, "maxiter": maxiter},
+    )
+    t = float(res.x)
+    return float(res.fun), np.array([math.cos(t), math.sin(t)])
+
+
+def _scan_real(fn, signs, support=()):
+    """Extrema of fn over the real coefficient circle, grid plus polish.
+
+    For each sign, the eight best grid minima of sign * fn seed polishes
+    of sign * fn over one grid step; each angle of ``support`` seeds a
+    finer polish towards the maximum of fn.  Returns what _scan_complex
+    returns.
+    """
+    grid, rows = _SCAN_REAL
+    t = grid[:, 0]
     step = t[1] - t[0]
-
-    def obj(x):
-        return sign * float(fn(np.array([[np.cos(x), np.sin(x)]]))[0])
-
-    best_v = float(vals[int(np.argmin(sv))])
-    best_t = float(t[int(np.argmin(sv))])
-    for k in cand:
-        res = minimize_scalar(
-            obj,
-            bounds=(t[k] - step, t[k] + step),
-            method="bounded",
-            options={"xatol": 1e-12, "maxiter": 300},
-        )
-        v = sign * res.fun
-        if (mode == "min" and v < best_v) or (mode == "max" and v > best_v):
-            best_v = v
-            best_t = float(res.x)
-    return best_v, np.array([np.cos(best_t), np.sin(best_t)])
+    vals = fn(rows)
+    extrema = []
+    for sign in signs:
+        sv = sign * vals
+        local = np.flatnonzero((sv <= np.roll(sv, 1)) & (sv <= np.roll(sv, -1)))
+        k0 = int(np.argmin(sv))
+        best_v = float(sv[k0])
+        best_c = np.array([math.cos(t[k0]), math.sin(t[k0])])
+        for k in local[np.argsort(sv[local])][:8]:
+            v, c = _circle_polish(fn, sign, t[k], step, 1e-12, 300)
+            if v < best_v:
+                best_v, best_c = v, c
+        extrema.append((sign * best_v, best_c))
+    polished = [_circle_polish(fn, -1.0, x[0], 0.02, 1e-13, 200)[1] for x in support]
+    return extrema, polished
 
 
-def _support_exchange(rows, S, u_s, tol=3e-10, rounds=60):
+def _support_exchange(rows, S, u_s):
     """Grow a small support set until its ellipsoid encloses all rows.
 
     Classic exchange: solve the minimum-volume problem on rows[S] only,
@@ -491,12 +537,12 @@ def _support_exchange(rows, S, u_s, tol=3e-10, rounds=60):
     best_gap = np.inf
     stall = 0
     Q = None
-    for _ in range(rounds):
+    for _ in range(60):
         Q, u_s = _mvee_centered(rows[S], warm=u_s)
         r = _quad_rows(Q, rows)
         j = int(np.argmax(r))
         gap = float(r[j]) - 1.0
-        if gap <= tol or j in S:
+        if gap <= 3e-10 or j in S:
             break
         if gap < best_gap - 1e-15:
             best_gap = gap
@@ -512,15 +558,6 @@ def _support_exchange(rows, S, u_s, tol=3e-10, rounds=60):
         u_s = np.concatenate([u_s * (1.0 - 1e-2), [1e-2]])
         u_s /= u_s.sum()
     return Q, S, u_s
-
-
-def _sphere_param(c):
-    # inverse of _sphere_points on the complex sphere, up to a global phase
-    a = abs(c[0])
-    s = math.atan2(abs(c[1]), a)
-    if a <= 1e-300:
-        return np.array([s, float(np.angle(c[1]))])
-    return np.array([s, float(np.angle(c[1] * np.conj(c[0])))])
 
 
 def _merge_close(P, w, gap=1e-5):
@@ -545,7 +582,7 @@ def _norm_sq(c):
     return float(np.real(np.vdot(c, c)))
 
 
-def _refine_support(P, w, basis, norm, field, tol=1e-8, rounds=8):
+def _refine_support(P, w, basis, norm, field):
     """Slide the support set onto the body's true contact points.
 
     Appending grid violators alone piles near-duplicates next to each
@@ -559,24 +596,12 @@ def _refine_support(P, w, basis, norm, field, tol=1e-8, rounds=8):
     Q, w = _mvee_centered(P, warm=w)
     best_hi, best_Q = np.inf, Q
     stall = 0
-    for _ in range(rounds):
+    scan = _scan_real if field == "real" else _scan_complex
+    for _ in range(8):
         fn = _ratio_fn(basis, norm, Q)
-        if field == "real":
-            hi, hi_c = _scan_real(fn, "max")
-            moved = [hi_c]
-            for c in P:
-                t0 = math.atan2(float(c[1]), float(c[0]))
-                res = minimize_scalar(
-                    _neg_scalar(fn),
-                    bounds=(t0 - 0.02, t0 + 0.02),
-                    method="bounded",
-                    options={"xatol": 1e-13, "maxiter": 200},
-                )
-                moved.append(np.array([math.cos(res.x), math.sin(res.x)]))
-        else:
-            X0 = [_sphere_param(c) for c in P]
-            [(hi, hi_c)], polished = _scan_complex(fn, (-1.0,), X0)
-            moved = [hi_c, *polished]
+        X0 = [_sphere_param(c, field) for c in P]
+        [(hi, hi_c)], polished = scan(fn, (-1.0,), X0)
+        moved = [hi_c, *polished]
         new = np.stack([c / norm(basis @ c) for c in moved])
         # the support-seeded maxima see spikes the grid scan smooths over,
         # so they join the measurement of the current enclosure
@@ -586,7 +611,7 @@ def _refine_support(P, w, basis, norm, field, tol=1e-8, rounds=8):
             stall = 0
         else:
             stall += 1
-        if best_hi <= 1.0 + tol or stall >= 2:
+        if best_hi <= 1.0 + 1e-8 or stall >= 2:
             break
 
         P = np.vstack([P, new])
@@ -603,31 +628,9 @@ def _refine_support(P, w, basis, norm, field, tol=1e-8, rounds=8):
     return best_Q, best_hi
 
 
-def _neg_scalar(fn):
-    def obj(t):
-        return -float(fn(np.array([[math.cos(t), math.sin(t)]]))[0])
-
-    return obj
-
-
-def _sphere_rows(field, count, seed=182818284):
-    # fixed-seed sample of the realified coefficient sphere, for the
-    # distortion measurement required of every fitted form
-    rng = np.random.default_rng(seed)
-    if field == "complex":
-        z = rng.standard_normal((count, 4))
-        z /= np.linalg.norm(z, axis=1)[:, None]
-        return z[:, :2] + 1j * z[:, 2:]
-    z = rng.standard_normal((count, 2))
-    return z / np.linalg.norm(z, axis=1)[:, None]
-
-
 def _fit_ellipsoid(basis, norm, field):
     """Gram matrix and measured distortion of the rescaled enclosing ellipsoid."""
-    if field == "complex":
-        rows = _coeff_sphere_complex(65, 128)
-    else:
-        rows = _coeff_sphere_real(4096)
+    rows = _FIT_GRID[field][1]
     rows = rows / norm.of_rows(rows @ basis.T)[:, None]
 
     S = list(dict.fromkeys(np.linspace(0, rows.shape[0] - 1, 9).astype(int).tolist()))
@@ -641,13 +644,10 @@ def _fit_ellipsoid(basis, norm, field):
     Q, hi_seeded = _refine_support(P, w, basis, norm, field)
 
     fn = _ratio_fn(basis, norm, Q)
-    if field == "complex":
-        (hi, _), (lo, _) = _scan_complex(fn, (-1.0, 1.0))[0]
-    else:
-        hi, _ = _scan_real(fn, "max")
-        lo, _ = _scan_real(fn, "min")
+    scan = _scan_real if field == "real" else _scan_complex
+    (hi, _), (lo, _) = scan(fn, (-1.0, 1.0))[0]
     hi = max(hi, hi_seeded)
-    sample_ratios = fn(_sphere_rows(field, 2048))
+    sample_ratios = fn(_SAMPLE[field])
     lo = min(lo, float(sample_ratios.min()))
     hi = max(hi, float(sample_ratios.max()))
     return Q / lo**2, hi / lo
@@ -728,8 +728,8 @@ def nonneg_rotation(f, g, H):
 def align_pair(u, v, H):
     """Phase-align (u, v) so the combined pair has real inner product.
 
-    mu is the phase of <u, v>_H (mu = 1 when the inner product vanishes).
-    Inputs are swapped first if ||u||_H < ||v||_H, so that
+    mu is nonneg_rotation's phase of <u, v>_H (mu = 1 when the inner
+    product vanishes).  Inputs are swapped first if ||u||_H < ||v||_H, so that
     <f, g>_H = ||u||_H^2 - ||v||_H^2 >= 0; the swap is recorded.
     """
     u = as_vector(u, H.field)
@@ -740,13 +740,9 @@ def align_pair(u, v, H):
     if swapped:
         u, v = v, u
         nu, nv = nv, nu
-    ip = H.inner(u, v)
-    if abs(ip) <= 1e-14 * max(nu * nv, 1e-30):
-        mu = 1.0 if H.field == "real" else 1.0 + 0.0j
-    else:
-        mu = ip / abs(ip)
-    f = u + mu * v
-    g = u - mu * v
+    v_rot, mu = nonneg_rotation(u, v, H)
+    f = u + v_rot
+    g = u - v_rot
     check = H.inner(f, g)
     if abs(complex(check).imag) > 1e-10 * max(nu * nu + nv * nv, 1e-30):
         raise CertificateError("alignment left a non-real inner product")

@@ -21,13 +21,17 @@ __all__ = ["PhaseAlignment", "RatioReport", "PairWitness",
 
 RATIO_ATOL_SCALE = 1e-9
 
+# the generic branch's circle grid, read-only
+_GRID_THETA = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
+_GRID_LAMBDA = np.exp(1j * _GRID_THETA)
+_GRID_THETA.flags.writeable = _GRID_LAMBDA.flags.writeable = False
 # batched zoom of the grid minima: 8 samples per bracket and round, the
 # bracket shrinking by 4 each round, from one grid step to about 7e-10
-# after 12 rounds at the default grid, inside the winner's +-1e-8 polish
+# after 12 rounds, inside the winner's +-1e-8 polish
 _ZOOM_OFFSETS = np.array([-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0]) / 4.0
 _ZOOM_ROUNDS = 12
 # entries (rows times dimension) one zoom of_rows call may hold: the size
-# of the default grid's batch at n = 2048
+# of the grid's batch at n = 2048
 _ZOOM_CELLS = 1 << 20
 
 
@@ -60,29 +64,20 @@ def _euclidean_inner(f, g, norm):
     return complex(np.sum(w * f * np.conj(g)))
 
 
-def unimodular_distance(f, g, norm, tol=1e-10, field="complex", grid=512,
-                        method="auto"):
+def unimodular_distance(f, g, norm, *, field="complex"):
     """Minimize norm(f - lambda * g) over unimodular scalars lambda.
 
     Over the real field the two candidate signs are compared exactly, and
     a weighted 2-norm has a closed form. Every other complex case samples
-    `grid` equally spaced angles on the circle, refines every local
-    minimum of the grid (ties included) by a batched bracket zoom, which
-    drops a bracket once it provably cannot hold the least value, and
-    polishes the best one. The returned distance is always an achieved
-    value norm(f - lambda_star * g), so it bounds the true minimum from
-    above; a minimum narrower than one grid step can be missed. tol is
-    validated (it must be positive) and otherwise unused.
-    method "auto" dispatches to the closed form when the norm is a
-    weighted 2-norm; "grid" forces the generic branch, which exists so
-    the two can be cross-checked.
+    512 equally spaced angles on the circle, refines every local minimum
+    of the grid (ties included) by a batched bracket zoom, which drops a
+    bracket once it provably cannot hold the least value, and polishes
+    the best one. The returned distance is always an achieved value
+    norm(f - lambda_star * g), so it bounds the true minimum from above; a
+    minimum narrower than one grid step can be missed.
     """
     f, g = np.asarray(f), np.asarray(g)
     check_same_dim(f, g)
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if method not in ("auto", "grid"):
-        raise ValueError(f"unknown method {method!r}")
     if field == "real":
         d_minus = norm(f - g)
         d_plus = norm(f + g)
@@ -90,7 +85,7 @@ def unimodular_distance(f, g, norm, tol=1e-10, field="complex", grid=512,
             return PhaseAlignment(distance=d_minus, lambda_star=1.0 + 0.0j)
         return PhaseAlignment(distance=d_plus, lambda_star=-1.0 + 0.0j)
 
-    if norm.p == 2.0 and method == "auto":
+    if norm.p == 2.0:
         # lambda* = phase of <f, g>; evaluating norm(f - lambda* g) by
         # subtraction avoids the cancellation in the norm identity
         # ||f||^2 + ||g||^2 - 2|<f, g>| near colinear pairs
@@ -99,10 +94,13 @@ def unimodular_distance(f, g, norm, tol=1e-10, field="complex", grid=512,
         lam = ip / mag if mag > 0 else 1.0 + 0.0j
         return PhaseAlignment(distance=float(norm(f - lam * g)),
                               lambda_star=complex(lam))
+    return _grid_distance(f, g, norm)
 
-    theta = np.linspace(0.0, 2.0 * np.pi, int(grid), endpoint=False)
-    lam = np.exp(1j * theta)
-    vals = norm.of_rows(f[None, :] - lam[:, None] * g[None, :])
+
+def _grid_distance(f, g, norm):
+    # the generic complex branch of unimodular_distance, for any norm; a
+    # test cross-checks it against the weighted 2-norm closed form
+    vals = norm.of_rows(f[None, :] - _GRID_LAMBDA[:, None] * g[None, :])
 
     # every grid minimum, ties included, is zoomed in one batch per round;
     # only the winner, the first least value in grid order, is polished
@@ -110,7 +108,7 @@ def unimodular_distance(f, g, norm, tol=1e-10, field="complex", grid=512,
     if local.size == 0:
         # only a NaN on the grid leaves no minimum to bracket
         raise ValueError("phase distance is undefined for non-finite vectors")
-    t, d = _zoom(f, g, norm, theta[local], vals[local], 2.0 * np.pi / len(theta))
+    t, d = _zoom(f, g, norm, _GRID_THETA[local], vals[local], 2.0 * np.pi / len(_GRID_THETA))
     k = int(np.argmin(d))
     best_t, best_d = float(t[k]), float(d[k])
     # bounded Brent cannot resolve below sqrt(eps) * |t|; polish in a
@@ -161,7 +159,7 @@ def _zoom(f, g, norm, t, d, h):
     return t, d
 
 
-def spr_ratio(f, g, norm, tol=1e-10, field="complex"):
+def spr_ratio(f, g, norm, *, field="complex"):
     """Stability ratio min_lambda norm(f - lambda g) / norm(|f| - |g|).
 
     Near-zero numerator and denominator are resolved against an absolute
@@ -169,7 +167,7 @@ def spr_ratio(f, g, norm, tol=1e-10, field="complex"):
     and unimodular multiples report "degenerate" instead of noise ratios.
     """
     f, g = np.asarray(f), np.asarray(g)
-    align = unimodular_distance(f, g, norm, tol=tol, field=field)
+    align = unimodular_distance(f, g, norm, field=field)
     num = align.distance
     den = norm(modulus(f) - modulus(g))
     atol = RATIO_ATOL_SCALE * max(norm(f), norm(g), 1.0)

@@ -87,10 +87,11 @@ def real_pair_sweep(basis, p, weights=None, step=1e-3, chunk=200000):
     grids of the given step, normalizes both in the lattice norm, and
     returns (min disjointness, max finite SPR ratio) over all pairs.
     Pairs whose modulus gap vanishes are excluded from the ratio (they
-    are the degenerate diagonal v = +-u).
+    are the degenerate diagonal v = +-u).  Every reduced quantity is
+    exactly symmetric in (u, v), so each block of rows i is paired only
+    with the rows j >= its first row.
     """
     basis = np.asarray(basis, dtype=float)
-    n = basis.shape[1]
     s = np.arange(0.0, np.pi, step)
     rows = np.cos(s)[:, None] * basis[0][None, :] + np.sin(s)[:, None] * basis[1][None, :]
     nr = row_norms(rows, p, weights)
@@ -101,8 +102,8 @@ def real_pair_sweep(basis, p, weights=None, step=1e-3, chunk=200000):
     best_ratio = 0.0
     for start in range(0, m, max(1, chunk // m)):
         stop = min(start + max(1, chunk // m), m)
-        U = np.repeat(rows[start:stop], m, axis=0)
-        V = np.tile(rows, (stop - start, 1))
+        U = np.repeat(rows[start:stop], m - start, axis=0)
+        V = np.tile(rows[start:], (stop - start, 1))
         au = np.abs(U)
         av = np.abs(V)
         dis = row_norms(np.minimum(au, av), p, weights)

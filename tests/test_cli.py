@@ -284,6 +284,32 @@ def test_bad_complex_entry_exits_two(tmp_path, capsys):
     assert "[re, im]" in err
 
 
+PAIR_COMMANDS = [["reduce"], ["build", "adp2spr"], ["build", "spr2perp"],
+                 ["build", "perp2spr"], ["build", "pr-equiv"]]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400],
+                         ids=["nan", "inf", "-inf", "10**400"])
+@pytest.mark.parametrize("command", PAIR_COMMANDS, ids=" ".join)
+def test_non_finite_pair_entry_exits_two(tmp_path, capsys, command, bad):
+    # json.dumps writes NaN and Infinity, which json.load reads back, and an
+    # integer too large for a float
+    doc = dict(ADP3, pair=[[1, [bad, 0], 0], [0, 0.1, 1]])
+    f = _problem(tmp_path, "nonfinite.json", doc)
+    code, _, err = _run(capsys, command + [f])
+    assert code == 2
+    assert "pair[0]: entries must be finite" in err
+
+
+@pytest.mark.parametrize("builder", ["adp2spr", "perp2spr"])
+def test_zero_pair_vector_exits_one(tmp_path, capsys, builder):
+    doc = dict(ADP3, pair=[[0, 0, 0], [0, 0.1, 1]])
+    f = _problem(tmp_path, "zero.json", doc)
+    code, _, err = _run(capsys, ["build", builder, f])
+    assert code == 1
+    assert err == "PreconditionError: pair vectors must be nonzero to normalize\n"
+
+
 def test_pr_equiv_rejects_real_field(tmp_path, capsys):
     f = _problem(tmp_path, "reduce2.json", REDUCE2)
     code, _, err = _run(capsys, ["build", "pr-equiv", f])
