@@ -10,6 +10,7 @@ between the different witnesses of stability failure.
 
 from .lattice import (
     Ambient,
+    InputError,
     NormSpec,
     PhaseLatError,
     abs_prod_sqrt,
@@ -70,9 +71,9 @@ from .builders import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ambient", "NormSpec", "PhaseLatError", "abs_prod_sqrt", "as_vector",
-    "join", "meet", "modulus", "perp_measure", "perp_profile", "re_prod",
-    "PairWitness", "PhaseAlignment", "RatioReport", "spr_ratio",
+    "Ambient", "InputError", "NormSpec", "PhaseLatError", "abs_prod_sqrt",
+    "as_vector", "join", "meet", "modulus", "perp_measure", "perp_profile",
+    "re_prod", "PairWitness", "PhaseAlignment", "RatioReport", "spr_ratio",
     "unimodular_distance",
     "AlignedPair", "CertificateError", "DependentVectorsError",
     "FitDistortionError", "HilbertForm", "PreconditionError",

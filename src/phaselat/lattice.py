@@ -12,6 +12,7 @@ import numpy as np
 
 __all__ = [
     "PhaseLatError",
+    "InputError",
     "NormSpec",
     "Ambient",
     "as_vector",
@@ -28,6 +29,10 @@ __all__ = [
 
 class PhaseLatError(Exception):
     """Base class for domain errors raised by this package."""
+
+
+class InputError(PhaseLatError, ValueError):
+    """An argument that no computation can accept; also a ValueError."""
 
 
 def as_vector(x, field="complex"):

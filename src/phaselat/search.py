@@ -8,14 +8,18 @@ the lattice norm, so the search space stays compact.  Local moves are
 coordinate pattern steps, which tolerate the kinks of the p = 1 and
 p = infinity norms; every returned witness is re-measured from scratch by
 the lattice and phase-distance primitives before being reported.
+All seeded restarts of a search step in lockstep as one (R, d) state,
+one objective call per sweep; each restart takes exactly the steps it
+would take alone, and winners are taken in restart order.
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .lattice import Ambient, PhaseLatError, as_vector, require_independent
+from .lattice import Ambient, InputError, PhaseLatError, as_vector, require_independent
 from .phase_metric import RATIO_ATOL_SCALE, PairWitness, spr_ratio
 from . import builders
 
@@ -38,10 +42,16 @@ UNBOUNDED_RATIO = 1e9
 # always go through unimodular_distance at full precision
 _SEP_ANGLES = np.linspace(0.0, 2 * np.pi, 48, endpoint=False)
 _SEP_GRID = np.exp(1j * _SEP_ANGLES)
-_SEP_SPACING = float(_SEP_ANGLES[1])
+# the 17 zoom angles around each coarse angle, one row per grid index
+_SEP_REFINE = np.exp(1j * (_SEP_ANGLES[:, None]
+                           + np.linspace(-_SEP_ANGLES[1], _SEP_ANGLES[1], 17)[None, :]))
+_SEP_GRID.flags.writeable = _SEP_REFINE.flags.writeable = False
 # refined coarse separation overestimates the true one by at most
 # ~2 sin(spacing / 32) * ||g||, about 8e-3 on normalized pairs
 _SEP_MARGIN = 0.01
+# grid entries (candidate rows x phase angles x dimension) one objective
+# call may hold, as phase_metric._ZOOM_CELLS; restarts run in such blocks
+_BLOCK_CELLS = 1 << 20
 
 
 class InfeasibleError(PhaseLatError):
@@ -59,9 +69,9 @@ class Subspace:
         rows = np.atleast_2d(np.asarray(self.basis))
         rows = np.stack([as_vector(r, self.ambient.field) for r in rows])
         if rows.shape[1] != self.ambient.dim:
-            raise ValueError("basis vectors do not match the ambient dimension")
+            raise InputError("basis vectors do not match the ambient dimension")
         if rows.shape[0] > 1:
-            require_independent(rows, ValueError("basis is numerically dependent"))
+            require_independent(rows, InputError("basis is numerically dependent"))
         object.__setattr__(self, "basis", rows)
 
     @property
@@ -90,7 +100,7 @@ class SearchBudget:
 
     def __post_init__(self):
         if self.restarts < 1 or self.iterations_per_restart < 1 or self.penalty_rounds < 1:
-            raise ValueError("budget fields must be positive")
+            raise InputError("budget fields must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +130,7 @@ def _normalize_halves(X, da):
     X = X[keep]
     X[:, :da] /= na[keep, None]
     X[:, da:] /= nb[keep, None]
-    return X
+    return X, keep
 
 
 def _normalize_joint(X, da):
@@ -131,48 +141,66 @@ def _normalize_joint(X, da):
     keep = n > 1e-30
     X = X[keep]
     X /= n[keep, None] / math.sqrt(2.0)
-    return X
+    return X, keep
 
 
-def _pattern_search(objective, x0, da, max_sweeps, delta0=0.35,
+def _pattern_search(objective, X0, da, max_sweeps, delta0=0.35,
                     delta_min=1e-12, plateau=None, project=None):
-    """Best-improvement pattern search on a projected parameter space.
+    """Best-improvement pattern search; each row of ``X0`` is a restart.
 
-    ``objective`` maps projected parameter rows to values (lower is
-    better).  ``project`` cleans candidate rows; the default restricts to
-    the product of two unit coefficient spheres.  Returns
-    (x, value, sweeps).  ``plateau`` maps the current best value to a
-    delta below which further refinement is pointless.
+    Every restart keeps its own point, value, step, sweep count and stop
+    flag, and a sweep scores the 2d candidates of all live restarts in one
+    ``objective`` call (lower is better, NaN is +inf; a row's value must
+    not depend on its batch).  ``project`` returns the cleaned rows and
+    their keep mask; the default restricts to two unit coefficient spheres.
+    A restart takes its first least candidate if it beats its value by
+    1e-15 and halves its step otherwise, and stops after ``max_sweeps``,
+    at ``delta_min``, on a non-finite value, or when a scored sweep leaves
+    its step below ``plateau(values)``.  Returns (X, values, sweeps).
     """
-    if project is None:
-        project = _normalize_halves
-    x = project(x0[None, :], da)[0]
-    fx = float(objective(x[None, :])[0])
-    if math.isnan(fx):
-        fx = math.inf
-    dim = x.shape[0]
-    delta = delta0
-    sweeps = 0
-    eye = np.eye(dim)
-    while sweeps < max_sweeps and delta > delta_min:
-        sweeps += 1
-        cands = np.vstack([x + delta * eye, x - delta * eye])
-        cands = project(cands, da)
-        if cands.shape[0] == 0:
-            delta *= 0.5
-            continue
-        vals = objective(cands)
-        best = int(np.nanargmin(vals)) if not np.all(np.isnan(vals)) else -1
-        if best >= 0 and vals[best] < fx - 1e-15:
-            x = cands[best]
-            fx = float(vals[best])
-            if not math.isfinite(fx):
-                break
-        else:
-            delta *= 0.5
-        if plateau is not None and delta < plateau(fx):
-            break
-    return x, fx, sweeps
+    project = project or _normalize_halves
+    # start points and values one row at a time, as a serial run takes
+    # them: a one-row batch takes another matmul path
+    X = np.vstack([project(x0[None, :], da)[0][0] for x0 in X0])
+    fx = np.array([objective(x[None, :])[0] for x in X])
+    fx[np.isnan(fx)] = math.inf
+    R, dim = X.shape
+    delta = np.full(R, delta0)
+    sweeps = np.zeros(R, dtype=int)
+    live = np.full(R, max_sweeps > 0)
+    steps = np.vstack([np.eye(dim), -np.eye(dim)])
+    while live.any():
+        idx = np.flatnonzero(live)
+        sweeps[idx] += 1
+        cands, keep = project((X[idx, None, :] + delta[idx, None, None] * steps)
+                              .reshape(-1, dim), da)
+        vals = np.full(keep.shape, math.inf)
+        if cands.shape[0]:
+            vals[keep] = objective(cands)
+        vals[np.isnan(vals)] = math.inf
+        vals = vals.reshape(idx.size, 2 * dim)
+        pick = (np.arange(idx.size), vals.argmin(axis=1))
+        bv = vals[pick]
+        up = bv < fx[idx] - 1e-15
+        row = (np.cumsum(keep) - 1).reshape(vals.shape)[pick]
+        X[idx[up]] = cands[row[up]]
+        fx[idx[up]] = bv[up]
+        delta[idx[~up]] *= 0.5
+        done = up & ~np.isfinite(bv)
+        if plateau is not None:
+            scored = keep.reshape(vals.shape).any(axis=1)
+            done |= scored & (delta[idx] < plateau(fx[idx]))
+        live[idx] = ~done & (sweeps[idx] < max_sweeps) & (delta[idx] > delta_min)
+    return X, fx, sweeps
+
+
+def _restart_blocks(E, starts, search):
+    """Yield search(block)'s rows in restart order, blocks within _BLOCK_CELLS;
+    a caller that stops early never runs the later blocks."""
+    angles = sum(_SEP_REFINE.shape) if E.ambient.field == "complex" else 2
+    size = max(_BLOCK_CELLS // (2 * starts.shape[1] * angles * E.ambient.dim), 1)
+    for lo in range(0, starts.shape[0], size):
+        yield from zip(*search(starts[lo:lo + size]))
 
 
 def _pairs_from_params(E, X):
@@ -205,12 +233,10 @@ def _sep_rows_coarse(U, V, norm, field, refine=False):
     coarse = vals.min(axis=1)
     if not refine:
         return coarse
-    th0 = _SEP_ANGLES[vals.argmin(axis=1)]
-    offs = np.linspace(-_SEP_SPACING, _SEP_SPACING, 17)
-    lam2 = np.exp(1j * (th0[:, None] + offs[None, :]))
+    lam2 = _SEP_REFINE[vals.argmin(axis=1)]
     diffs2 = U[:, None, :] - lam2[:, :, None] * V[:, None, :]
     flat2 = diffs2.reshape(-1, U.shape[1])
-    vals2 = norm.of_rows(flat2).reshape(U.shape[0], offs.shape[0])
+    vals2 = norm.of_rows(flat2).reshape(U.shape[0], lam2.shape[1])
     return np.minimum(coarse, vals2.min(axis=1))
 
 
@@ -361,16 +387,14 @@ def estimate_spr_constant(E, budget=None, seed=0):
                 unbounded = True
         return unbounded
 
+    search = partial(_pattern_search, objective, da=E._param_dim(),
+                     max_sweeps=budget.iterations_per_restart, project=_normalize_joint)
     warm_starts, warm_pairs = _warm_start_pairs(E, budget, seed)
-    starts = warm_starts + list(_random_params(rng, E, budget.restarts))
-    stop = any(consider(f, g) for f, g in warm_pairs)
-    if not stop:
-        for x0 in starts:
-            x, fx, sweeps = _pattern_search(
-                objective, x0, E._param_dim(), budget.iterations_per_restart,
-                project=_normalize_joint,
-            )
-            sweeps_total += sweeps
+    starts = np.vstack(warm_starts + [_random_params(rng, E, budget.restarts)])
+    if not any(consider(f, g) for f, g in warm_pairs):
+        for x, _, sweeps in _restart_blocks(E, starts, search):
+            sweeps_total += int(sweeps)
+            # one row at a time: a batched rebuild changes the last bits
             U, V = _pairs_from_params(E, x[None, :])
             if consider(U[0], V[0]):
                 break
@@ -396,11 +420,9 @@ def search_almost_disjoint(E, budget=None, seed=0):
     objective = _disjoint_objective(E)
     best_x = None
     best_v = math.inf
-    for x0 in _random_params(rng, E, budget.restarts):
-        x, fx, _ = _pattern_search(
-            objective, x0, E._param_dim(), budget.iterations_per_restart,
-            plateau=lambda f: 1e-14,
-        )
+    search = partial(_pattern_search, objective, da=E._param_dim(),
+                     max_sweeps=budget.iterations_per_restart, plateau=lambda f: 1e-14)
+    for x, fx, _ in _restart_blocks(E, _random_params(rng, E, budget.restarts), search):
         if fx < best_v:
             best_v, best_x = fx, x
     U, V, _ = _normalized_pairs(E, best_x[None, :])
@@ -426,27 +448,29 @@ def search_perp_pair(E, m, budget=None, seed=0, feas_tol=1e-6):
     # separation overestimate cannot push the true value below m
     m_pen = m + _SEP_MARGIN if m > 0 else 0.0
     feasibility = _feasibility_objective(E, m_pen + _SEP_MARGIN)
-    for x0 in _random_params(rng, E, budget.restarts):
-        x = x0
-        fx = math.inf
+    rounds = budget.penalty_rounds if m > 0 else 1
+
+    def search(X):
         if m > 0:
-            x, _, _ = _pattern_search(
-                feasibility, x, E._param_dim(), budget.iterations_per_restart,
-                plateau=lambda f: math.inf if f <= 0.0 else 0.0,
-            )
-        rounds = budget.penalty_rounds if m > 0 else 1
+            X = _pattern_search(
+                feasibility, X, E._param_dim(), budget.iterations_per_restart,
+                plateau=lambda f: np.where(f <= 0.0, math.inf, 0.0),
+            )[0]
         for r in range(rounds):
-            rho = 10.0 ** (r + 2)
-            objective = _perp_objective(E, m_pen, rho)
+            objective = _perp_objective(E, m_pen, 10.0 ** (r + 2))
             # the last round runs to machine step so exact-zero basins
             # are not cut off by the plateau heuristic
             last = r == rounds - 1
-            x, fx, _ = _pattern_search(
-                objective, x, E._param_dim(), budget.iterations_per_restart,
+            out = _pattern_search(
+                objective, X, E._param_dim(), budget.iterations_per_restart,
                 delta_min=1e-15 if last else 1e-12,
                 plateau=None if last else
-                (lambda f: 1e-4 * min(max(f, 1e-10), 1.0)),
+                (lambda f: 1e-4 * np.minimum(np.maximum(f, 1e-10), 1.0)),
             )
+            X = out[0]
+        return out
+
+    for x, _, _ in _restart_blocks(E, _random_params(rng, E, budget.restarts), search):
         U, V, ok = _normalized_pairs(E, x[None, :])
         if not np.any(ok):
             continue

@@ -114,3 +114,39 @@ def real_pair_sweep(basis, p, weights=None, step=1e-3, chunk=200000):
         if np.any(live):
             best_ratio = max(best_ratio, float(np.max(num[live] / den[live])))
     return best_dis, best_ratio
+
+
+def serial_pattern_search(objective, x0, da, max_sweeps, project, delta0=0.35,
+                          delta_min=1e-12, plateau=None):
+    """One restart of the coordinate pattern search, run on its own.
+
+    The reference for the lockstep search: it is the one-restart loop the
+    library ran before its restarts were batched.  ``project`` returns the
+    cleaned rows and their keep mask.  Returns (x, value, sweeps).
+    """
+    x = project(x0[None, :], da)[0][0]
+    fx = float(objective(x[None, :])[0])
+    if np.isnan(fx):
+        fx = np.inf
+    dim = x.shape[0]
+    delta = delta0
+    sweeps = 0
+    eye = np.eye(dim)
+    while sweeps < max_sweeps and delta > delta_min:
+        sweeps += 1
+        cands = project(np.vstack([x + delta * eye, x - delta * eye]), da)[0]
+        if cands.shape[0] == 0:
+            delta *= 0.5
+            continue
+        vals = objective(cands)
+        best = int(np.nanargmin(vals)) if not np.all(np.isnan(vals)) else -1
+        if best >= 0 and vals[best] < fx - 1e-15:
+            x = cands[best]
+            fx = float(vals[best])
+            if not np.isfinite(fx):
+                break
+        else:
+            delta *= 0.5
+        if plateau is not None and delta < plateau(fx):
+            break
+    return x, fx, sweeps

@@ -7,15 +7,19 @@ certifies a lower bound, so assertions are written in the direction the
 search can actually guarantee.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import phaselat.search as S
 from phaselat import (
     Ambient,
     InfeasibleError,
+    InputError,
     NormSpec,
+    PhaseLatError,
     SearchBudget,
     Subspace,
     check_pr,
@@ -25,7 +29,7 @@ from phaselat import (
     spr_ratio,
 )
 
-from oracles import real_pair_sweep
+from oracles import real_pair_sweep, serial_pattern_search
 
 
 def _cross_subspace():
@@ -191,14 +195,214 @@ def test_check_pr_rejects_empty_grid():
 
 
 def test_budget_and_subspace_validation():
-    with pytest.raises(ValueError):
-        SearchBudget(0, 10, 1)
-    with pytest.raises(ValueError):
-        SearchBudget(4, 10, 0)
-    with pytest.raises(ValueError):
-        Subspace(Ambient(3, "real", NormSpec(2.0)), [[1.0, 2.0]])
-    with pytest.raises(ValueError):
-        Subspace(
-            Ambient(2, "real", NormSpec(2.0)),
-            [[1.0, 2.0], [2.0, 4.0]],
-        )
+    assert issubclass(InputError, PhaseLatError) and issubclass(InputError, ValueError)
+    bad = [
+        lambda: SearchBudget(0, 10, 1),
+        lambda: SearchBudget(4, 10, 0),
+        lambda: Subspace(Ambient(3, "real", NormSpec(2.0)), [[1.0, 2.0]]),
+        lambda: Subspace(Ambient(2, "real", NormSpec(2.0)), [[1.0, 2.0], [2.0, 4.0]]),
+    ]
+    for make in bad:
+        with pytest.raises(InputError):
+            make()
+
+
+# -- lockstep restarts -------------------------------------------------------
+
+_PLATEAU = {
+    "disjoint": lambda f: 1e-14,
+    "feasibility": lambda f: np.where(f <= 0.0, np.inf, 0.0),
+    "perp": lambda f: 1e-4 * np.minimum(np.maximum(f, 1e-10), 1.0),
+    "drop": lambda f: 0.01,
+}
+
+
+def _far_out_dropped(X, da):
+    # keeps a start row, and drops every candidate of a restart that
+    # starts at first coordinate 100
+    keep = (X[:, 0] < 10.0) | (X.shape[0] == 1)
+    return X[keep], keep
+
+
+@pytest.mark.parametrize("kind", ["ratio", "full_ratio", "disjoint", "feasibility",
+                                  "perp", "drop"])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_lockstep_pattern_search_matches_serial(field, p, kind):
+    rng = np.random.default_rng([23, field == "complex", int(min(p, 4.0))])
+    if kind == "full_ratio":
+        # a full 2-dim span has pairs of equal moduli at positive distance,
+        # where the ratio objective is -inf
+        E = Subspace(Ambient(2, field, NormSpec(p)), np.eye(2))
+    else:
+        B = rng.standard_normal((2, 4))
+        if field == "complex":
+            B = B + 1j * rng.standard_normal((2, 4))
+        E = Subspace(Ambient(4, field, NormSpec(p)), B)
+    da = E._param_dim()
+    X0 = rng.standard_normal((12 if kind == "full_ratio" else 6, 2 * da))
+    project, plateau = S._normalize_halves, _PLATEAU.get(kind)
+    if kind in ("ratio", "full_ratio"):
+        objective, project = S._ratio_objective(E), S._normalize_joint
+    elif kind == "feasibility":
+        objective = S._feasibility_objective(E, 0.5)
+    elif kind == "perp":
+        objective = S._perp_objective(E, 0.1, 100.0)
+    else:
+        objective = S._disjoint_objective(E)
+    if kind == "drop":
+        X0[[1, 3], 0] = 100.0
+        project = _far_out_dropped
+
+    X, fx, sweeps = S._pattern_search(objective, X0, da, 60, plateau=plateau,
+                                      project=project)
+    for i, x0 in enumerate(X0):
+        x, f, s = serial_pattern_search(objective, x0, da, 60, project, plateau=plateau)
+        assert np.array_equal(X[i], x), i
+        assert fx[i] == f and sweeps[i] == s, (i, fx[i], f, sweeps[i], s)
+    # each case reaches the stop it is there for
+    if kind == "full_ratio":
+        assert np.any((fx == -np.inf) & (sweeps < 60))
+    elif kind == "feasibility":
+        # the plateau test stops a restart once it is feasible
+        assert np.any((fx == 0.0) & (sweeps < 39))
+    elif kind == "drop":
+        # no candidate ever: the step halves down to 1e-12, with no
+        # plateau stop, while the other restarts stop on the plateau
+        assert list(sweeps[[1, 3]]) == [39, 39] and np.array_equal(X[[1, 3]], X0[[1, 3]])
+        assert sweeps.max(initial=0, where=X0[:, 0] < 10.0) < 39
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _frozen_subspace(name):
+    if name == "full-real":
+        return Subspace(Ambient(2, "real", NormSpec(np.inf)), np.eye(2))
+    if name == "full-complex":
+        return Subspace(Ambient(2, "complex", NormSpec(2.0)), np.eye(2))
+    field, p = name.split("-")
+    j = (1.0, 3.0, np.inf).index(float(p))
+    rng = np.random.default_rng([77, j, field == "complex"])
+    n = 4 if field == "real" else 5
+    B = rng.standard_normal((2, n))
+    if field == "complex":
+        B = B + 1j * rng.standard_normal((2, n))
+    return Subspace(Ambient(n, field, NormSpec(float(p))), B)
+
+
+# outputs of the one-restart-at-a-time search, before the restarts were
+# batched: c_lower, witness digest and budget_used of the estimate, then
+# (perp, separation, disjointness, digest of u, v) of the disjoint and the
+# perp (m = 0.1) witnesses; budget SearchBudget(4, 60, 2), seed 3
+_FROZEN = {
+    "real-1.0": ("2.2133048125198203", "098af796000bc388", 300,
+                 ("0.5128571236509346", "1.0963738981586366", "0.45181305093880636",
+                  "5a79a415244d3f04"),
+                 ("0.5412983302372323", "1.187971578265701", "0.4904927398988011",
+                  "d09404f2d2d919ac")),
+    "real-3.0": ("2.9996203571228923", "f8267be4d62896c3", 259,
+                 ("0.5425873796743326", "1.2482073609566318", "0.3333755212140099",
+                  "f3a0d6090c8fce1f"),
+                 ("0.4813338892267722", "1.227218955385416", "0.4049242517854242",
+                  "2e10ba0247b9a188")),
+    "real-inf": ("2.737818173012819", "abc3b82fc7b24669", 237,
+                 ("0.604362764423755", "1.2956240779838748", "0.3652543510220511",
+                  "378242e859a448a8"),
+                 ("0.5579464851792059", "1.1630937073120897", "0.4175576385424128",
+                  "9ee5c4e38c15a76d")),
+    "complex-1.0": ("22.497917303853484", "22434e282333836d", 300,
+                    ("0.6656664237233767", "1.1770984643942115", "0.49883426436659567",
+                     "28ddc049cd368f4d"),
+                    ("0.0972254800829602", "0.2917729899422813", "0.8559393500074676",
+                     "5ae87a70680840a4")),
+    "complex-3.0": ("10.110705778689345", "a8e0f80b22cb9ce9", 300,
+                    ("0.5613636767799678", "1.1735183202514745", "0.4094962482367059",
+                     "3e26f8a1e7cbc042"),
+                    ("0.10068590070293947", "0.10967507598012319", "0.9891652166150492",
+                     "a9a72bdad3758c60")),
+    "complex-inf": ("9.155205468492357", "7121049da98a7b79", 300,
+                    ("0.4930851850145963", "0.9448349057326006", "0.2638990073330949",
+                     "43ff250c32f5dcf0"),
+                    ("0.09812664364545387", "0.10897455619881495", "1.0",
+                     "beea86f9a9c691b3")),
+    # unbounded: the ratio search stops after its first restart
+    "full-real": ("inf", "d7f61b8f6792457b", 41,
+                  ("0.0014366682765740082", "1.0000015777972433", "2.064015736914131e-06",
+                   "18d0ca4038329ef4"),
+                  ("1.5934923199687447e-05", "1.0000000001941056", "2.5392177737993716e-10",
+                   "d69a2aa5d4b9d4e1")),
+    "full-complex": ("inf", "c8bede76bb1a19bb", 49,
+                     ("0.00505543870261482", "1.4141953399508143", "2.144969425141149e-05",
+                      "d0e8936c1c995a3b"),
+                     ("1.0390730383119583e-08", "1.3105725025008337", "0.1487129507047426",
+                      "a23f418171869312")),
+}
+
+
+def _search_outputs(E):
+    budget = SearchBudget(4, 60, 2)
+    est = estimate_spr_constant(E, budget, seed=3)
+    adp = search_almost_disjoint(E, budget, seed=3)
+    per = search_perp_pair(E, 0.1, budget, seed=3)
+    return (repr(est.c_lower), _digest(est.witness_f, est.witness_g),
+            est.budget_used["sweeps"],
+            *((repr(w.perp), repr(w.separation), repr(w.disjointness), _digest(w.u, w.v))
+              for w in (adp, per)))
+
+
+@pytest.mark.parametrize("name", sorted(_FROZEN))
+def test_search_outputs_are_frozen(name):
+    E = _frozen_subspace(name)
+    assert _search_outputs(E) == _FROZEN[name]
+    est = estimate_spr_constant(E, SearchBudget(4, 60, 2), seed=3)
+    assert est.budget_used["restarts"] == 5
+    assert est.unbounded == name.startswith("full")
+
+
+def test_check_pr_frozen_on_c4():
+    # criterion 2's subspace, seed 0, a small budget
+    u = np.array([1, 1, 1, 0], dtype=complex)
+    w = np.array([1, 1j, 0, 1], dtype=complex)
+    E = Subspace(Ambient(4, "complex", NormSpec(np.inf)), np.stack([u, w]))
+    verdict = check_pr(E, budget=SearchBudget(6, 120, 3), seed=0)
+    assert {m: repr(x) for m, x in verdict.min_perp_per_m.items()} == {
+        0.05: "0.12567609399971807", 0.1: "0.18021053989519722",
+        0.2: "0.20764119068495604"}
+
+
+@pytest.mark.parametrize("name", ["real-1.0", "complex-inf"])
+def test_restart_blocks_keep_results_and_bound_calls(name, monkeypatch):
+    E = _frozen_subspace(name)
+    expected = _search_outputs(E)
+    # the rule's worst case per restart: 2d candidate rows, each with up
+    # to 65 phase angles (2 over the real field) of n entries
+    d = 2 * E._param_dim()
+    per = 2 * d * (65 if E.ambient.field == "complex" else 2) * E.ambient.dim
+    largest, inside = [0], [False]
+    of_rows, pattern_search = NormSpec.of_rows, S._pattern_search
+
+    def spy(self, X):
+        if inside[0]:
+            largest[0] = max(largest[0], np.asarray(X).size)
+        return of_rows(self, X)
+
+    def search(*args, **kw):
+        inside[0] = True
+        try:
+            return pattern_search(*args, **kw)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(NormSpec, "of_rows", spy)
+    monkeypatch.setattr(S, "_pattern_search", search)
+    for cells in (1, 2 * per):
+        # one restart per block, then two (the 6 or 5 starts split unevenly)
+        monkeypatch.setattr(S, "_BLOCK_CELLS", cells)
+        largest[0] = 0
+        assert _search_outputs(E) == expected
+        assert largest[0] <= max(cells, per)
