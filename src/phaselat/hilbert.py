@@ -12,7 +12,9 @@ exact form, Gram = B^H W B with K = 1.  Otherwise the fit computes the
 minimum-volume centered ellipsoid enclosing a dense sample of the span's
 unit sphere, tightens it with cutting planes until the whole sphere is
 certified inside, and rescales so the lower sandwich bound is met with
-equality at the worst point found.
+equality at the worst point found.  Each ellipsoid is exact: its KKT
+conditions are solved over every support of at most 3 (real) or 4
+(complex) rows in one batch, and it encloses its rows to rounding.
 
 Extrema of the ratio ||x||_H / ||x|| are located on a grid and polished.
 Every grid and the random sphere sample are fixed module constants, built
@@ -25,6 +27,8 @@ step, so each simplex step costs one batched norm evaluation for all
 starts instead of one call per trial point.
 """
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -140,137 +144,74 @@ class HilbertForm:
         return float(np.sqrt(max(_quad(self.gram, c), 0.0)))
 
 
-def _mvee_centered(C, tol=1e-10, max_iter=600, warm=None):
-    """Minimum-volume centered ellipsoid enclosing the rows of C.
+# c^H Q c = phi(c) . q is linear in the realified parameters
+# q = (Q00, Q11, Re Q01, Im Q01) of Q, with the row features
+# phi(c) = (|c0|^2, |c1|^2, 2 Re c0 conj(c1), 2 Im c0 conj(c1)), and
+# det Q = q^T J q / 2; real rows and forms keep the first three entries
+_J_INV = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                   [0.0, 0.0, -0.5, 0.0], [0.0, 0.0, 0.0, -0.5]])
+_J_INV.flags.writeable = False
 
-    A coarse Frank-Wolfe ascent on the log-det dual locates the support,
-    then Newton iterations on the active set polish the weights; the
-    optimality condition is kappa_i = 2 wherever u_i > 0.  Returns the
-    Hermitian Q with ||c||_E^2 = c^H Q c and max over rows <= 1 + O(tol),
-    plus the design weights.  Meant for small row sets; the caller keeps
-    the support small by exchanging points against a dense grid.
+
+@functools.cache
+def _supports(m, D):
+    # every support of 2 to D of m rows, padded to D slots, read-only
+    subsets = [s for k in range(2, min(m, D) + 1)
+               for s in itertools.combinations(range(m), k)]
+    idx = np.zeros((len(subsets), D), dtype=np.intp)
+    used = np.zeros((len(subsets), D), dtype=bool)
+    for i, s in enumerate(subsets):
+        idx[i, :len(s)] = s
+        used[i, :len(s)] = True
+    idx.flags.writeable = used.flags.writeable = False
+    return idx, used
+
+
+def _mvee_centered(C):
+    """Minimum-volume centered ellipsoid enclosing the rows of C, exactly.
+
+    Maximizing log det Q subject to phi_i . q <= 1 has its optimum on a
+    support S of at most D rows (D = 4 complex, 3 real), where the KKT
+    conditions read (Phi_S J^-1 Phi_S^T) lam = 1, q = J^-1 Phi_S^T lam,
+    lam >= 0 and every phi_i . q <= 1.  All supports of 2 to D rows are
+    solved in one batch; among the positive definite candidates the one
+    with the least KKT residual wins, which also ranks the near-singular
+    supports of projective near-duplicates without a threshold.  Q is then
+    divided by its largest row value, so every row is enclosed to
+    rounding.  Returns Q, with ||c||_E^2 = c^H Q c, and the design weights
+    u_S = lam / sum(lam), for which Q = M(u)^-1 / 2.  m rows cost
+    C(m, 2) + ... + C(m, D) small solves, so callers keep m small.
     """
-    n = C.shape[0]
-    d = 2.0
-    a = np.abs(C[:, 0]) ** 2
-    b = np.abs(C[:, 1]) ** 2
+    D = 4 if np.iscomplexobj(C) else 3
     z = C[:, 0] * np.conj(C[:, 1])
-    if warm is not None and warm.shape[0] == n:
-        u = warm.copy()
-    else:
-        u = np.zeros(n)
-        lead = int(np.argmax(a + b))
-        dets = np.abs(C[lead, 0] * C[:, 1] - C[lead, 1] * C[:, 0])
-        u[lead] = 0.5
-        u[int(np.argmax(dets))] += 0.5
-
-    def kappa_all(w):
-        m00 = float(w @ a)
-        m11 = float(w @ b)
-        m01 = complex(w @ z)
-        det = m00 * m11 - (m01.real**2 + m01.imag**2)
-        # inverse of the 2x2 moment matrix applied as a quadratic form,
-        # pairing against conj(z) since m01 collects c0 conj(c1)
-        q00, q11, q01 = m11 / det, m00 / det, -m01 / det
-        return q00 * a + q11 * b + 2.0 * (q01.real * z.real + q01.imag * z.imag)
-
-    ftol = max(tol, 1e-6)
-    for _ in range(max_iter):
-        kappa = kappa_all(u)
-        j = int(np.argmax(kappa))
-        up = kappa[j] / d - 1.0
-        ka = np.where(u > 1e-15, kappa, np.inf)
-        i2 = int(np.argmin(ka))
-        down = 1.0 - ka[i2] / d
-        if up <= ftol and down <= ftol:
-            break
-        if up >= down:
-            beta = (kappa[j] - d) / (d * (kappa[j] - 1.0))
-            pick = j
-        else:
-            beta_min = -u[i2] / (1.0 - u[i2])
-            # below kappa = 1 the objective is monotone, drop the point
-            beta = max((ka[i2] - d) / (d * (ka[i2] - 1.0)), beta_min) \
-                if ka[i2] > 1.0 else beta_min
-            pick = i2
-        u *= 1.0 - beta
-        u[pick] = max(u[pick] + beta, 0.0)
-
-    def resid_active(A, uA):
-        m00 = float(uA @ a[A])
-        m11 = float(uA @ b[A])
-        m01 = complex(uA @ z[A])
-        det = m00 * m11 - (m01.real**2 + m01.imag**2)
-        if not np.isfinite(det) or det <= 0.0:
-            return np.inf
-        q00, q11, q01 = m11 / det, m00 / det, -m01 / det
-        k = q00 * a[A] + q11 * b[A] + 2.0 * (
-            q01.real * z[A].real + q01.imag * z[A].imag
-        )
-        return float(np.max(np.abs(k - d)))
-
-    for _ in range(30):
-        A = np.flatnonzero(u > 1e-12)
-        CA = C[A]
-        uA = u[A].copy()
-        ok = False
-        for _ in range(30):
-            m00 = float(uA @ a[A])
-            m11 = float(uA @ b[A])
-            m01 = complex(uA @ z[A])
-            det = m00 * m11 - (m01.real**2 + m01.imag**2)
-            if not np.isfinite(det) or det <= 0.0:
-                break
-            minv = np.array([[m11, -m01], [-np.conj(m01), m00]]) / det
-            K = np.conj(CA) @ minv @ CA.T
-            resid = K.diagonal().real - d
-            r0 = float(np.max(np.abs(resid)))
-            if r0 <= d * tol * 0.5:
-                ok = True
-                break
-            jac = -(K.real**2 + K.imag**2)
-            step = np.linalg.lstsq(jac, resid, rcond=None)[0]
-            # cap the step at the nonnegativity boundary, then backtrack
-            # until the residual actually drops; near-duplicate support
-            # rows make the full Newton step wildly unreliable
-            pos = step > 0.0
-            t = min(1.0, float(np.min(uA[pos] / step[pos]))) if np.any(pos) else 1.0
-            accepted = False
-            for _ in range(10):
-                new = np.maximum(uA - t * step, 0.0)
-                if resid_active(A, new) < r0:
-                    accepted = True
-                    break
-                t *= 0.5
-            if not accepted:
-                break
-            uA = new
-            gone = uA <= 0.0
-            if np.any(gone):
-                keep = ~gone
-                if int(keep.sum()) < 2:
-                    break
-                A = A[keep]
-                CA = C[A]
-                uA = uA[keep]
-        if not ok:
-            break
-        v = np.zeros(n)
-        v[A] = uA
-        u = v
-        kappa = kappa_all(u)
-        j = int(np.argmax(kappa))
-        if kappa[j] <= d * (1.0 + tol) or u[j] > 0.0:
-            break
-        # an off-support point violates, seed it and polish again
-        u *= 1.0 - 1e-3
-        u[j] += 1e-3
-
-    M = (C.T * u) @ np.conj(C)
-    M = 0.5 * (M + np.conj(M.T))
-    det = (M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]).real
-    minv = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
-    return minv / d, u
+    phi = np.column_stack([np.abs(C[:, 0]) ** 2, np.abs(C[:, 1]) ** 2,
+                           2.0 * z.real, 2.0 * z.imag])[:, :D]
+    j_inv = _J_INV[:D, :D]
+    idx, used = _supports(C.shape[0], D)
+    # an unused slot gets an identity row and a zero right-hand side, so
+    # its multiplier is exactly 0 and every support size shares one solve
+    G = np.where(used[:, :, None] & used[:, None, :],
+                 (phi @ j_inv @ phi.T)[idx[:, :, None], idx[:, None, :]], np.eye(D))
+    rhs = used[:, :, None].astype(float)
+    try:
+        lam = np.linalg.solve(G, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        # four complex rows on one circle of the sphere, or two projective
+        # duplicates (whose multipliers come back 0), have singular systems
+        lam = (np.linalg.pinv(G) @ rhs)[..., 0]
+    q = np.einsum("sk,skd->sd", lam, phi[idx]) @ j_inv
+    vals = q @ phi.T
+    resid = np.maximum(vals.max(axis=1) - 1.0, -lam.min(axis=1) / np.maximum(
+        np.abs(lam).sum(axis=1), np.finfo(float).tiny))
+    # NaN parameters fail both comparisons and drop out with the rest
+    pd = (q[:, 0] > 0.0) & (q[:, 0] * q[:, 1] > np.sum(q[:, 2:] ** 2, axis=1))
+    s = int(np.argmin(np.where(pd, resid, np.inf)))
+    q = q[s] / np.max(vals[s])
+    off = complex(q[2], q[3]) if D == 4 else q[2]
+    Q = np.array([[q[0], off], [np.conj(off), q[1]]])
+    u = np.zeros(C.shape[0])
+    u[idx[s, used[s]]] = np.maximum(lam[s, used[s]], 0.0)
+    return Q, u / u.sum()
 
 
 def _ratio_fn(basis, norm, Q):
@@ -526,23 +467,24 @@ def _scan_real(fn, signs, support=()):
     return extrema, polished
 
 
-def _support_exchange(rows, S, u_s):
+def _support_exchange(rows, S):
     """Grow a small support set until its ellipsoid encloses all rows.
 
     Classic exchange: solve the minimum-volume problem on rows[S] only,
-    pull in the worst violator over the full grid, drop support points
-    whose weight has collapsed.  Keeps the expensive iteration on a few
-    dozen rows no matter how dense the grid is.
+    keep its support, pull in the worst violator over the full grid.
+    Keeps the solve on a few rows no matter how dense the grid is.
+    Returns the last solve's Q and support rows.
     """
     best_gap = np.inf
     stall = 0
-    Q = None
     for _ in range(60):
-        Q, u_s = _mvee_centered(rows[S], warm=u_s)
+        Q, u = _mvee_centered(rows[S])
+        S = [s for s, w in zip(S, u) if w > 1e-12]
+        support = rows[S]
         r = _quad_rows(Q, rows)
         j = int(np.argmax(r))
         gap = float(r[j]) - 1.0
-        if gap <= 3e-10 or j in S:
+        if gap <= 3e-10:
             break
         if gap < best_gap - 1e-15:
             best_gap = gap
@@ -551,49 +493,35 @@ def _support_exchange(rows, S, u_s):
             stall += 1
             if stall >= 12:
                 break
-        keep = u_s > 1e-12
-        S = [s for s, k in zip(S, keep) if k]
-        u_s = u_s[keep]
         S.append(j)
-        u_s = np.concatenate([u_s * (1.0 - 1e-2), [1e-2]])
-        u_s /= u_s.sum()
-    return Q, S, u_s
+    return Q, support
 
 
-def _merge_close(P, w, gap=1e-5):
-    # projective duplicates add nothing to the moment matrix; fold their
-    # weight into the first representative
+def _merge_close(P, gap=1e-5):
+    # projective duplicates add nothing to the enclosure; keep the first
     keep = []
     for i in range(P.shape[0]):
-        for k in keep:
-            d2 = (
-                _norm_sq(P[i]) + _norm_sq(P[k])
-                - 2.0 * abs(complex(np.vdot(P[k], P[i])))
-            )
-            if d2 <= gap * gap:
-                w[k] += w[i]
-                break
-        else:
+        if all(_norm_sq(P[i]) + _norm_sq(P[k]) - 2.0 * abs(complex(np.vdot(P[k], P[i])))
+               > gap * gap for k in keep):
             keep.append(i)
-    return P[keep], w[keep] / w[keep].sum()
+    return P[keep]
 
 
 def _norm_sq(c):
     return float(np.real(np.vdot(c, c)))
 
 
-def _refine_support(P, w, basis, norm, field):
-    """Slide the support set onto the body's true contact points.
+def _refine_support(Q, P, basis, norm, field):
+    """Slide the support set P of Q onto the body's true contact points.
 
     Appending grid violators alone piles near-duplicates next to each
     off-grid contact point and closes the gap at a crawl.  Instead each
-    round local-maximizes the current ratio from every active point and
-    adds the moved points alongside the originals; the weight solve then
-    prunes whichever copies went stale.  Bodies with near-degenerate
-    contact arcs never settle on a finite support, so the best enclosure
-    seen wins and two non-improving rounds end the chase.
+    round local-maximizes the current ratio from every support point and
+    adds the moved points alongside the originals; the next solve's
+    support drops whichever copies went stale.  Bodies with
+    near-degenerate contact arcs never settle on a finite support, so the
+    best enclosure seen wins and two non-improving rounds end the chase.
     """
-    Q, w = _mvee_centered(P, warm=w)
     best_hi, best_Q = np.inf, Q
     stall = 0
     scan = _scan_real if field == "real" else _scan_complex
@@ -614,17 +542,10 @@ def _refine_support(P, w, basis, norm, field):
         if best_hi <= 1.0 + 1e-8 or stall >= 2:
             break
 
-        P = np.vstack([P, new])
-        w = np.concatenate([w * (1.0 - 1e-2), np.full(new.shape[0], 1e-2 / new.shape[0])])
-        w /= w.sum()
-        P, w = _merge_close(P, w)
-        if P.shape[0] > 12:
-            order = np.argsort(w)[::-1][:12]
-            P, w = P[order], w[order] / w[order].sum()
-        Q, w = _mvee_centered(P, warm=w)
-        act = w > 1e-12
-        if int(act.sum()) >= 2:
-            P, w = P[act], w[act] / w[act].sum()
+        # at most D support rows plus D + 1 moved ones: m <= 9
+        P = _merge_close(np.vstack([P, new]))
+        Q, w = _mvee_centered(P)
+        P = P[w > 1e-12]
     return best_Q, best_hi
 
 
@@ -634,14 +555,10 @@ def _fit_ellipsoid(basis, norm, field):
     rows = rows / norm.of_rows(rows @ basis.T)[:, None]
 
     S = list(dict.fromkeys(np.linspace(0, rows.shape[0] - 1, 9).astype(int).tolist()))
-    Q, S, u_s = _support_exchange(rows, S, None)
     # downstream certificates pay any off-grid excess one for one, so the
     # contact set is refined continuously; the measured K stays honest
     # even if the refinement exits on its round cap
-    act = u_s > 1e-12
-    P = rows[np.asarray(S)[act]]
-    w = u_s[act] / u_s[act].sum()
-    Q, hi_seeded = _refine_support(P, w, basis, norm, field)
+    Q, hi_seeded = _refine_support(*_support_exchange(rows, S), basis, norm, field)
 
     fn = _ratio_fn(basis, norm, Q)
     scan = _scan_real if field == "real" else _scan_complex

@@ -6,6 +6,7 @@ taken coordinatewise. Norms are weighted p-norms of the modulus, which are
 exactly the absolute (lattice-compatible) norms this package works with.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,19 +40,19 @@ def as_vector(x, field="complex"):
     """Validate and cast x to a finite 1-d float64 or complex128 array."""
     dtype = np.complex128 if field == "complex" else np.float64
     if field == "real" and np.iscomplexobj(x) and np.any(np.asarray(x).imag != 0):
-        raise ValueError("real ambient field cannot hold complex entries")
+        raise InputError("real ambient field cannot hold complex entries")
     v = np.asarray(x, dtype=dtype)
     if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"expected a nonempty 1-d vector, got shape {v.shape}")
+        raise InputError(f"expected a nonempty 1-d vector, got shape {v.shape}")
     if not np.all(np.isfinite(v.view(np.float64))):
-        raise ValueError("vector entries must be finite")
+        raise InputError("vector entries must be finite")
     return v
 
 
 def check_same_dim(*vecs):
     dims = {np.shape(v)[0] for v in vecs}
     if len(dims) != 1:
-        raise ValueError(f"dimension mismatch: {sorted(dims)}")
+        raise InputError(f"dimension mismatch: {sorted(dims)}")
 
 
 def require_independent(mat, err):
@@ -123,35 +124,52 @@ class NormSpec:
     def __post_init__(self):
         p = float(self.p)
         if not (p >= 1.0):
-            raise ValueError(f"p must satisfy 1 <= p <= inf, got {self.p}")
+            raise InputError(f"p must satisfy 1 <= p <= inf, got {self.p}")
         object.__setattr__(self, "p", p)
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=np.float64)
             if w.ndim != 1 or not np.all(np.isfinite(w)) or np.any(w <= 0):
-                raise ValueError("weights must be a 1-d array of positive finite reals")
+                raise InputError("weights must be a 1-d array of positive finite reals")
             object.__setattr__(self, "weights", w)
 
     def _weighted(self, a):
         # a is |x| for p = inf and |x|^p otherwise; weights scale a itself
         if self.weights is not None:
             if a.shape[-1] != self.weights.shape[0]:
-                raise ValueError(
+                raise InputError(
                     f"dimension mismatch: vector has {a.shape[-1]} entries, "
                     f"weights have {self.weights.shape[0]}"
                 )
             return a * self.weights
         return a
 
+    def _of_moduli(self, a):
+        # array methods and math.sqrt: the same reductions as np.max /
+        # np.sum / np.sqrt, with less call overhead
+        p = self.p
+        if p == math.inf:
+            return float(self._weighted(a).max())
+        if p == 1.0:
+            return float(self._weighted(a).sum())
+        if p == 2.0:
+            return math.sqrt(self._weighted(a * a).sum())
+        return float(self._weighted(a ** p).sum() ** (1.0 / p))
+
     def __call__(self, x):
-        """Norm of a single vector (real or complex entries)."""
+        """Norm of a single vector (real or complex entries).
+
+        A power that overflows to inf, or underflows to 0 on a nonzero
+        vector, is recomputed with the largest modulus factored out (the
+        norm is homogeneous); every other result is the plain one.
+        """
         a = modulus(x)
-        if np.isinf(self.p):
-            return float(np.max(self._weighted(a)))
-        if self.p == 1.0:
-            return float(np.sum(self._weighted(a)))
-        if self.p == 2.0:
-            return float(np.sqrt(np.sum(self._weighted(a * a))))
-        return float(np.sum(self._weighted(a ** self.p)) ** (1.0 / self.p))
+        with np.errstate(over="ignore"):
+            r = self._of_moduli(a)
+            if (math.isinf(r) or r == 0.0) and a.size:
+                s = float(a.max())
+                if 0.0 < s < math.inf:
+                    r = s * self._of_moduli(a / s)
+        return r
 
     def of_rows(self, X):
         """Row-wise norms of a 2-d array; the batched form of __call__."""
@@ -175,8 +193,8 @@ class Ambient:
 
     def __post_init__(self):
         if self.dim < 1:
-            raise ValueError(f"ambient dimension must be >= 1, got {self.dim}")
+            raise InputError(f"ambient dimension must be >= 1, got {self.dim}")
         if self.field not in ("real", "complex"):
-            raise ValueError(f"field must be 'real' or 'complex', got {self.field!r}")
+            raise InputError(f"field must be 'real' or 'complex', got {self.field!r}")
         if self.norm.weights is not None and self.norm.weights.shape[0] != self.dim:
-            raise ValueError("norm weights length must match ambient dimension")
+            raise InputError("norm weights length must match ambient dimension")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .lattice import as_vector, check_same_dim, modulus, perp_profile
+from .lattice import InputError, as_vector, check_same_dim, modulus, perp_profile
 
 __all__ = ["PhaseAlignment", "RatioReport", "PairWitness",
            "unimodular_distance", "spr_ratio"]
@@ -107,7 +107,7 @@ def _grid_distance(f, g, norm):
     local = np.flatnonzero((vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1)))
     if local.size == 0:
         # only a NaN on the grid leaves no minimum to bracket
-        raise ValueError("phase distance is undefined for non-finite vectors")
+        raise InputError("phase distance is undefined for non-finite vectors")
     t, d = _zoom(f, g, norm, _GRID_THETA[local], vals[local], 2.0 * np.pi / len(_GRID_THETA))
     k = int(np.argmin(d))
     best_t, best_d = float(t[k]), float(d[k])

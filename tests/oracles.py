@@ -16,7 +16,12 @@ def weighted_norm(x, p, weights=None):
         w = np.ones(a.shape[-1])
     if np.isinf(p):
         return float(np.max(w * a))
-    return float(np.sum(w * a ** p) ** (1.0 / p))
+    # the true norm: with the largest modulus factored out, no power of a
+    # tiny or huge entry underflows or overflows
+    s = float(np.max(a))
+    if s == 0.0:
+        return 0.0
+    return s * float(np.sum(w * (a / s) ** p) ** (1.0 / p))
 
 
 def row_norms(X, p, weights=None):

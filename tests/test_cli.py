@@ -154,6 +154,18 @@ def test_build_adp2spr_payload(tmp_path, capsys):
     assert rep["flag"] is None
 
 
+def test_build_adp2spr_normalizes_huge_entry(tmp_path, capsys):
+    # ||(1e200, 0.1, 0)||_2 = 1e200 is finite though its square is not: the
+    # pair is normalized by its true norm, so the overlap is 0.1 / 1e200
+    doc = dict(ADP3, norm={"p": 2}, pair=[[1e200, 0.1, 0], [0, 0.1, 1]])
+    f = _problem(tmp_path, "huge.json", doc)
+    code, out, err = _run(capsys, ["build", "adp2spr", f, "--json"])
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["eps_prime"] == pytest.approx(1e-201, rel=1e-12)
+    assert doc["ok"] is True
+
+
 def test_build_perp2spr_quadrature(tmp_path, capsys):
     f = _problem(tmp_path, "quad2.json", QUAD2)
     code, out, _ = _run(

@@ -122,6 +122,92 @@ def test_nelder_mead_rows_matches_scipy(rng, field):
             assert abs(F[k] - res.fun) <= 1e-12
 
 
+def _assert_mvee_certificate(C, Q, u):
+    # KKT certificate of the minimum-volume ellipsoid: every row enclosed,
+    # design weights on the simplex, support rows on the boundary, and
+    # Q = M(u)^-1 / 2 with M(u) = sum_i u_i c_i c_i^H
+    vals = hilbert._quad_rows(Q, C)
+    assert vals.max() <= 1.0 + 1e-12
+    assert u.min() >= 0.0 and abs(u.sum() - 1.0) <= 1e-12
+    assert np.all(np.abs(vals[u > 0.0] - 1.0) <= 1e-9)
+    M = (C.T * u) @ np.conj(C)
+    np.testing.assert_allclose(np.linalg.inv(M) / 2.0, Q, rtol=0,
+                               atol=1e-9 * np.max(np.abs(Q)))
+
+
+@pytest.fixture(scope="module")
+def mvee_calls():
+    # every _mvee_centered input of a seeded fit panel over the six
+    # (field, p) combinations that fit an ellipsoid
+    calls = []
+    solve = hilbert._mvee_centered
+
+    def record(C):
+        Q, u = solve(C)
+        calls.append((np.array(C), Q, u))
+        return Q, u
+
+    rng = np.random.default_rng(88)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hilbert, "_mvee_centered", record)
+        for field in ("real", "complex"):
+            for p in (1.0, 3.0, np.inf):
+                for n in (2, 4, 6):
+                    f, g = random_vec(rng, n, field), random_vec(rng, n, field)
+                    fit_hilbert_norm(f, g, NormSpec(p), field=field)
+    return calls
+
+
+def test_mvee_meets_kkt_certificate_on_fit_inputs(mvee_calls):
+    assert {C.dtype.kind for C, _, _ in mvee_calls} == {"f", "c"}
+    for C, Q, u in mvee_calls:
+        _assert_mvee_certificate(C, Q, u)
+
+
+def test_mvee_inputs_stay_small(mvee_calls):
+    # m rows cost C(m, 2) + ... + C(m, 4) solves; the exchange passes at
+    # most 9 rows and the refinement at most D + (D + 1)
+    assert max(C.shape[0] for C, _, _ in mvee_calls) <= 12
+
+
+# two clusters of projective near-duplicates (complex p = 3 and real
+# p = 3 fits of the certify benchmark pool): the winning support's
+# system is nearly singular, so no determinant cut-off or fixed KKT
+# tolerance can decide which supports to trust
+_NEAR_DUPLICATES = [
+    np.array([
+        [0.2901090397470902 + 0j, -0.19203278580948877 + 0.04857616994531259j],
+        [0.20834520645040616 + 0j, 0.206813122860932 + 0.1786277643359179j],
+        [0.29337443416460735 + 0j, -0.18855605478523899 + 0.05069111800374432j],
+        [0.2095660940873314 + 0j, 0.20656620951702648 + 0.17753108011098234j],
+        [0.2909640340692304 + 0j, -0.19081371056629756 + 0.048353226970389136j],
+    ]),
+    np.array([
+        [-0.09592820227660173, 0.4654485911634038],
+        [0.889907823232313, 0.2573286997307691],
+        [-0.09557695574262884, 0.4655501660379376],
+        [0.8898743291017173, 0.2574914481037184],
+        [-0.09575260304840193, 0.465499383860285],
+    ]),
+]
+
+
+@pytest.mark.parametrize("C", _NEAR_DUPLICATES, ids=["complex", "real"])
+def test_mvee_near_duplicate_rows(C):
+    _assert_mvee_certificate(C, *hilbert._mvee_centered(C))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_mvee_exact_duplicate_rows(field):
+    # a support holding a row twice has a zero system, so the batch falls
+    # back to the pseudo-inverse; the answer is still the unit disk
+    C = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+    C = C if field == "real" else C * np.exp(0.3j)
+    Q, u = hilbert._mvee_centered(C)
+    _assert_mvee_certificate(C, Q, u)
+    np.testing.assert_allclose(Q, np.eye(2), atol=1e-12)
+
+
 def test_align_pair_quarter_turn():
     # <u, v> = i/2 and ||v|| < ||u||: mu = i and <f, g> becomes real
     norm = NormSpec(2.0)

@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from phaselat import (
     Ambient,
+    InputError,
     NormSpec,
     abs_prod_sqrt,
     as_vector,
@@ -136,6 +137,8 @@ def test_meet_bounds_product_chain_on_normalized_pairs(pair):
     arrays(np.float64, 4, elements=st.floats(min_value=0.1, max_value=5.0)),
     st.sampled_from(P_VALUES),
 )
+# squares of these entries underflow to 0; the norm must not
+@example(x=np.full(4, 2.62195791e-286), w=np.ones(4), p=2.0)
 def test_weighted_norm_matches_reference(x, w, p):
     got = NormSpec(p, weights=w)(x)
     want = weighted_norm(x, p, w)
@@ -176,41 +179,78 @@ def test_perp_profile_symmetric(rng):
 
 
 def test_as_vector_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         as_vector([[1.0, 2.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         as_vector([])
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         as_vector([1.0, np.nan])
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         as_vector([1.0, np.inf])
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         as_vector([1.0 + 1j], field="real")
     v = as_vector([1, 2], field="real")
     assert v.dtype == np.float64
 
 
 def test_check_same_dim():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         check_same_dim(np.zeros(2), np.zeros(3))
     check_same_dim(np.zeros(4), np.zeros(4), np.zeros(4))
 
 
 def test_norm_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         NormSpec(0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         NormSpec(2.0, weights=np.array([1.0, -1.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         NormSpec(2.0, weights=np.array([[1.0, 1.0]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         NormSpec(2.0, weights=np.array([1.0, 2.0]))(np.zeros(3))
 
 
 def test_ambient_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         Ambient(0, "real", NormSpec(2.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         Ambient(3, "quaternion", NormSpec(2.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         Ambient(3, "real", NormSpec(2.0, weights=np.ones(2)))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
+def test_norm_of_huge_and_tiny_entries(p):
+    # the power overflows or underflows; the largest modulus is factored out
+    # without a RuntimeWarning (pytest makes one an error)
+    norm = NormSpec(p)
+    assert norm(np.array([1e200, 0.1, 0.0])) == pytest.approx(1e200, rel=1e-15)
+    assert norm(np.array([1e-200, 1e-200])) == pytest.approx(
+        1e-200 * (1.0 if np.isinf(p) else 2.0 ** (1.0 / p)), rel=1e-15)
+    assert norm(np.zeros(3)) == 0.0
+    assert NormSpec(p, weights=np.array([1e300, 1.0]))(np.array([1e10, 0.0])) \
+        == pytest.approx(1e10 * (1e300 if np.isinf(p) else 1e300 ** (1.0 / p)), rel=1e-14)
+
+
+def _plain_norm(x, p, w):
+    # the formula without the rescale, as NormSpec evaluated every norm
+    # before huge and tiny entries were handled
+    a = np.abs(x)
+    if np.isinf(p):
+        return float(np.max(a * w))
+    if p == 1.0:
+        return float(np.sum(a * w))
+    if p == 2.0:
+        return float(np.sqrt(np.sum((a * a) * w)))
+    return float(np.sum((a ** p) * w) ** (1.0 / p))
+
+
+def test_norm_keeps_every_finite_nonzero_result(rng):
+    # the rescaled path runs only on inf or 0, so ordinary results keep
+    # every bit of the plain formula
+    for p in (1.0, 2.0, 3.0, np.inf):
+        w = rng.uniform(0.5, 2.0, 5)
+        norm = NormSpec(p, weights=w)
+        for scale in (1e-100, 1.0, 1e100):
+            x = scale * random_vec(rng, 5, "complex")
+            assert norm(x) == _plain_norm(x, p, w)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from phaselat import (
+    InputError,
     NormSpec,
     PairWitness,
     spr_ratio,
@@ -229,7 +230,9 @@ def test_pair_witness_requires_normalized_inputs(rng):
 def test_solver_input_validation(rng):
     f = random_vec(rng, 3, "complex")
     g = random_vec(rng, 3, "complex")
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         unimodular_distance(f, random_vec(rng, 4, "complex"), NormSpec(2.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         unimodular_distance(np.array([np.nan, 1.0]), g[:2], NormSpec(3.0))
+    with pytest.raises(InputError):
+        _grid_distance(np.array([np.nan, 1.0]), g[:2], NormSpec(3.0))
