@@ -473,26 +473,16 @@ def _support_exchange(rows, S):
     Classic exchange: solve the minimum-volume problem on rows[S] only,
     keep its support, pull in the worst violator over the full grid.
     Keeps the solve on a few rows no matter how dense the grid is.
-    Returns the last solve's Q and support rows.
+    Returns the last solve's Q and support rows, after at most 60 rounds.
     """
-    best_gap = np.inf
-    stall = 0
     for _ in range(60):
         Q, u = _mvee_centered(rows[S])
         S = [s for s, w in zip(S, u) if w > 1e-12]
         support = rows[S]
         r = _quad_rows(Q, rows)
         j = int(np.argmax(r))
-        gap = float(r[j]) - 1.0
-        if gap <= 3e-10:
+        if r[j] - 1.0 <= 3e-10:
             break
-        if gap < best_gap - 1e-15:
-            best_gap = gap
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 12:
-                break
         S.append(j)
     return Q, support
 
@@ -558,12 +548,12 @@ def _fit_ellipsoid(basis, norm, field):
     # downstream certificates pay any off-grid excess one for one, so the
     # contact set is refined continuously; the measured K stays honest
     # even if the refinement exits on its round cap
-    Q, hi_seeded = _refine_support(*_support_exchange(rows, S), basis, norm, field)
+    Q, hi = _refine_support(*_support_exchange(rows, S), basis, norm, field)
 
+    # _refine_support has measured the maximum of Q's ratio; scan the minimum
     fn = _ratio_fn(basis, norm, Q)
     scan = _scan_real if field == "real" else _scan_complex
-    (hi, _), (lo, _) = scan(fn, (-1.0, 1.0))[0]
-    hi = max(hi, hi_seeded)
+    [(lo, _)] = scan(fn, (1.0,))[0]
     sample_ratios = fn(_SAMPLE[field])
     lo = min(lo, float(sample_ratios.min()))
     hi = max(hi, float(sample_ratios.max()))

@@ -70,11 +70,12 @@ def unimodular_distance(f, g, norm, *, field="complex"):
     Over the real field the two candidate signs are compared exactly, and
     a weighted 2-norm has a closed form. Every other complex case samples
     512 equally spaced angles on the circle, refines every local minimum
-    of the grid (ties included) by a batched bracket zoom, which drops a
-    bracket once it provably cannot hold the least value, and polishes
-    the best one. The returned distance is always an achieved value
-    norm(f - lambda_star * g), so it bounds the true minimum from above; a
-    minimum narrower than one grid step can be missed.
+    of the grid (a run of tied adjacent minima as one) by a batched
+    bracket zoom, which drops a bracket once it provably cannot hold the
+    least value, and polishes the best one. The returned distance is
+    always an achieved value norm(f - lambda_star * g), so it bounds the
+    true minimum from above; a minimum narrower than one grid step can be
+    missed.
     """
     f, g = np.asarray(f), np.asarray(g)
     check_same_dim(f, g)
@@ -102,9 +103,17 @@ def _grid_distance(f, g, norm):
     # test cross-checks it against the weighted 2-norm closed form
     vals = norm.of_rows(f[None, :] - _GRID_LAMBDA[:, None] * g[None, :])
 
-    # every grid minimum, ties included, is zoomed in one batch per round;
-    # only the winner, the first least value in grid order, is polished
-    local = np.flatnonzero((vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1)))
+    # every grid minimum is zoomed in one batch per round, a cyclic run of
+    # adjacent minima with equal values as one bracket at the run's lowest
+    # grid index; only the winner, the first least value in grid order, is
+    # polished
+    is_min = (vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1))
+    tied = is_min & np.roll(is_min, 1) & (vals == np.roll(vals, 1))
+    local = np.flatnonzero(is_min & ~tied)
+    if tied[0]:
+        # the run through index 0 began at the last run start (none if it
+        # is the whole circle)
+        local = np.r_[0, local[:-1]]
     if local.size == 0:
         # only a NaN on the grid leaves no minimum to bracket
         raise InputError("phase distance is undefined for non-finite vectors")

@@ -21,7 +21,6 @@ import numpy as np
 
 from .lattice import Ambient, InputError, PhaseLatError, as_vector, require_independent
 from .phase_metric import RATIO_ATOL_SCALE, PairWitness, spr_ratio
-from . import builders
 
 __all__ = [
     "InfeasibleError",
@@ -322,36 +321,24 @@ def _params_from_pair(E, u, v):
 
 
 def _warm_start_pairs(E, budget, seed):
-    """High-ratio pairs built from an almost-disjoint pair.
+    """The sum/difference pair of an almost-disjoint pair in E, or None.
 
-    Returns (params, pairs): pattern-search starting rows and the raw
-    vector pairs themselves.  The sum/difference pair of a normalized
-    eps-almost disjoint pair realizes the ratio 1/eps in the real case
-    (and 1/(sqrt(2) eps) after orthogonal reduction in the complex
-    case), so the relative scale of the halves must be preserved.
+    For a normalized eps-almost disjoint pair (u, v), f = u + v and
+    g = u - v have || |f| - |g| || <= 2 eps, since the two moduli differ
+    pointwise by at most 2 min(|u|, |v|).  Over the real field the two
+    signs give ||2u|| = ||2v|| = 2, so the ratio of (f, g) is at least
+    1/eps; over the complex field max(|1 - lambda|, |1 + lambda|) >= sqrt(2)
+    and lattice monotonicity bound it below by
+    1/(sqrt(2) eps) - (1 + 1/sqrt(2)).  The relative scale of f and g
+    carries the ratio, so the search starting from it must keep it.
     """
-    starts, pairs = [], []
     try:
         adp = search_almost_disjoint(E, budget, seed + 101)
     except (PhaseLatError, ValueError):
-        return starts, pairs
+        return None
     if adp.disjointness >= 0.9:
-        return starts, pairs
-    norm = E.ambient.norm
-    if E.ambient.field == "real":
-        f = adp.u + adp.v
-        g = adp.u - adp.v
-        starts.append(_params_from_pair(E, f, g))
-        pairs.append((f, g))
-    else:
-        try:
-            cert = builders.adp_to_spr_violation(adp.u, adp.v, norm)
-            f, g = cert.f_prime, cert.g_prime
-            starts.append(_params_from_pair(E, f, g))
-            pairs.append((f, g))
-        except PhaseLatError:
-            pass
-    return starts, pairs
+        return None
+    return adp.u + adp.v, adp.u - adp.v
 
 
 def estimate_spr_constant(E, budget=None, seed=0):
@@ -389,9 +376,11 @@ def estimate_spr_constant(E, budget=None, seed=0):
 
     search = partial(_pattern_search, objective, da=E._param_dim(),
                      max_sweeps=budget.iterations_per_restart, project=_normalize_joint)
-    warm_starts, warm_pairs = _warm_start_pairs(E, budget, seed)
-    starts = np.vstack(warm_starts + [_random_params(rng, E, budget.restarts)])
-    if not any(consider(f, g) for f, g in warm_pairs):
+    warm = _warm_start_pairs(E, budget, seed)
+    starts = _random_params(rng, E, budget.restarts)
+    if warm is not None:
+        starts = np.vstack([_params_from_pair(E, *warm), starts])
+    if warm is None or not consider(*warm):
         for x, _, sweeps in _restart_blocks(E, starts, search):
             sweeps_total += int(sweeps)
             # one row at a time: a batched rebuild changes the last bits

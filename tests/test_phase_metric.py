@@ -91,12 +91,14 @@ def test_solver_matches_dense_grid_oracle(rng, p):
 
 
 def _count_norm_calls(monkeypatch):
-    calls = [0]
+    # [norm calls, rows of the of_rows calls]
+    calls = [0, 0]
     for attr in ("__call__", "of_rows"):
         fn = getattr(NormSpec, attr)
 
-        def counted(self, x, _fn=fn):
+        def counted(self, x, _fn=fn, _rows=attr == "of_rows"):
             calls[0] += 1
+            calls[1] += len(x) if _rows else 0
             return _fn(self, x)
 
         monkeypatch.setattr(NormSpec, attr, counted)
@@ -122,6 +124,20 @@ def test_plateau_pairs_cost_a_bounded_number_of_norm_calls(rng, monkeypatch):
         got = unimodular_distance(f_, g_, norm).distance
         assert got == pytest.approx(want, abs=1e-12)
         assert calls[0] <= 60
+
+    # a disjoint n = 2048 pair at p = inf whose distance, max |f|, is
+    # attained on f's support: all 512 grid values tie exactly, and the
+    # run zooms as one bracket at grid index 0, the argmin's pick
+    f = random_vec(rng, 2048, "complex")
+    g = random_vec(rng, 2048, "complex")
+    f[1024:] = 0.0
+    g[:1024] = 0.0
+    g *= 0.5 * np.max(np.abs(f)) / np.max(np.abs(g))
+    calls[1] = 0
+    out = unimodular_distance(f, g, NormSpec(np.inf))
+    assert calls[1] <= 512 + 12 * 8
+    assert out.distance == np.max(np.abs(f))
+    assert out.lambda_star == 1.0 + 0.0j
 
 
 def test_real_field_compares_two_signs(rng):

@@ -29,6 +29,7 @@ from phaselat import (
     spr_ratio,
 )
 
+from conftest import random_vec
 from oracles import real_pair_sweep, serial_pattern_search
 
 
@@ -100,6 +101,51 @@ def test_complex_disjointness_forces_large_constant(p):
         else:
             bound = 1.0 / (math.sqrt(2.0) * adp.disjointness)
             assert est.unbounded or est.c_lower >= bound - 1e-6
+
+
+def _warm_start_panel():
+    # random spans, and spans of two noisy disjoint vectors, whose best
+    # almost-disjoint pair has a small eps
+    for field in ("real", "complex"):
+        for p in (1.0, 2.0, 3.0, np.inf):
+            for j in range(4):
+                rng = np.random.default_rng([29, field == "complex", int(min(p, 4.0)), j])
+                n = 3 + j
+                B = np.stack([random_vec(rng, n, field) for _ in range(2)])
+                if j % 2:
+                    B = 1e-3 * B + np.eye(n)[:2]
+                yield Subspace(Ambient(n, field, NormSpec(p)), B)
+
+
+def test_warm_start_is_a_proven_high_ratio_pair():
+    # for a normalized eps-almost disjoint pair (u, v), the ratio of
+    # (u + v, u - v) is at least 1/eps over the reals and at least
+    # 1/(sqrt(2) eps) - (1 + 1/sqrt(2)) over the complex field
+    budget = SearchBudget(4, 60, 2)
+    warmed = 0
+    for E in _warm_start_panel():
+        norm, field = E.ambient.norm, E.ambient.field
+        warm = S._warm_start_pairs(E, budget, seed=5)
+        if warm is None:
+            continue
+        warmed += 1
+        f, g = warm
+        eps = norm(np.minimum(np.abs(f + g), np.abs(f - g))) / 2.0
+        assert eps < 0.9
+        if eps == 0.0:
+            bound = math.inf
+        elif field == "complex":
+            bound = 1.0 / (math.sqrt(2.0) * eps) - (1.0 + 1.0 / math.sqrt(2.0))
+        else:
+            bound = 1.0 / eps - 1e-9
+        report = spr_ratio(f, g, norm, field=field)
+        assert report.flag in (None, "infinite")
+        ratio = math.inf if report.flag else report.ratio
+        assert ratio >= bound
+        assert estimate_spr_constant(E, budget, seed=5).c_lower >= ratio
+    assert warmed >= 24
+    # the searches build on the kernels alone
+    assert not {"builders", "hilbert"} & set(vars(S))
 
 
 def test_estimate_is_deterministic():
@@ -298,7 +344,9 @@ def _frozen_subspace(name):
 # outputs of the one-restart-at-a-time search, before the restarts were
 # batched: c_lower, witness digest and budget_used of the estimate, then
 # (perp, separation, disjointness, digest of u, v) of the disjoint and the
-# perp (m = 0.1) witnesses; budget SearchBudget(4, 60, 2), seed 3
+# perp (m = 0.1) witnesses; budget SearchBudget(4, 60, 2), seed 3.  The
+# full-complex estimate's digest and sweeps come from the plain
+# sum/difference warm start of the complex field.
 _FROZEN = {
     "real-1.0": ("2.2133048125198203", "098af796000bc388", 300,
                  ("0.5128571236509346", "1.0963738981586366", "0.45181305093880636",
@@ -336,7 +384,7 @@ _FROZEN = {
                    "18d0ca4038329ef4"),
                   ("1.5934923199687447e-05", "1.0000000001941056", "2.5392177737993716e-10",
                    "d69a2aa5d4b9d4e1")),
-    "full-complex": ("inf", "c8bede76bb1a19bb", 49,
+    "full-complex": ("inf", "8843e632a4f22090", 24,
                      ("0.00505543870261482", "1.4141953399508143", "2.144969425141149e-05",
                       "d0e8936c1c995a3b"),
                      ("1.0390730383119583e-08", "1.3105725025008337", "0.1487129507047426",
