@@ -27,8 +27,6 @@ from .hilbert import (
     SQRT2,
     CertificateError,
     PreconditionError,
-    _sphere_grid,
-    _sphere_rows,
     align_pair,
     fit_hilbert_norm,
     orthogonal_reduce,
@@ -51,17 +49,6 @@ __all__ = [
 
 # the separation parameter of an almost-perpendicular pair lives below this
 M_RANGE_MAX = 1.0 / SQRT2 - 0.5
-
-
-def _floor_rows(field, *grid_shape):
-    # coefficient rows of the sphere-floor spot check: a seeded random
-    # sample plus a grid
-    rows = np.vstack([_sphere_rows(field, 4096, 417386), _sphere_grid(field, *grid_shape)[1]])
-    rows.flags.writeable = False
-    return rows
-
-
-_FLOOR_ROWS = {"real": _floor_rows("real", 512), "complex": _floor_rows("complex", 33, 64)}
 
 
 def _m_of_theta(theta):
@@ -145,10 +132,6 @@ class EquivalenceVerdict(NamedTuple):
     pythagorean: bool
 
 
-def _require_independent(x, y, err):
-    require_independent(np.stack([x, y]), err)
-
-
 def _require_normalized(u, v, norm):
     nu, nv = norm(u), norm(v)
     if abs(nu - 1.0) > 1e-10 or abs(nv - 1.0) > 1e-10:
@@ -178,7 +161,7 @@ def disjoint_to_pr_failure(f, g, norm, field="complex", atol=1e-12):
     G = f - g
     if np.any(np.abs(modulus(F) - modulus(G)) > 1e-12 * max(scale, 1.0)):
         raise CertificateError("moduli of f+g and f-g differ beyond rounding")
-    _require_independent(F, G, CertificateError("constructed pair is dependent"))
+    require_independent(np.stack([F, G]), CertificateError("constructed pair is dependent"))
     return DisjointLift(F=F, G=G)
 
 
@@ -294,9 +277,19 @@ def perp_pair_to_spr_failure(u, v, norm, m, C, field="complex"):
 
     Requires perp(u, v) strictly below delta m / (2C); then f = u + v and
     g = u - v satisfy || |f| - |g| || <= 2 perp while the phase distance
-    stays above delta m, so the measured ratio exceeds C.  The
-    coefficient-sphere floor min ||alpha u + beta v|| >= delta m / 2 is
-    spot-checked by dense sampling.
+    stays above delta m, so the measured ratio exceeds C.
+
+    The distance rests on the coefficient-sphere floor, which is proven,
+    not sampled: for normalized u, v with separation sep and unit
+    (alpha, beta), ||alpha u + beta v|| >= sep / (2 sqrt(2)).  The
+    separation is symmetric in u and v, so let |alpha| >= |beta|; then
+    t = |beta| / |alpha| <= 1, |alpha| >= 1/sqrt(2), and for a unimodular
+    lambda, ||alpha u + beta v|| = |alpha| ||u - lambda t v||, which the
+    triangle inequality bounds below by |alpha| max(sep - (1 - t), 1 - t)
+    >= |alpha| sep / 2.  Since delta(m) = 1/sqrt(1 + (1 + m/2)^2) is below
+    1/sqrt(2), the asserted sep >= m - 1e-12 gives a floor above
+    delta m / 2 - 1e-12, and ||f - lambda g|| = ||(1 - lambda) u +
+    (1 + lambda) v|| >= 2 floor, as |1 - lambda|^2 + |1 + lambda|^2 = 4.
     """
     if m <= 0.0:
         raise PreconditionError("m must be positive")
@@ -323,7 +316,7 @@ def perp_pair_to_spr_failure(u, v, norm, m, C, field="complex"):
 
     f = u + v
     g = u - v
-    _require_independent(f, g, CertificateError("constructed pair is dependent"))
+    require_independent(np.stack([f, g]), CertificateError("constructed pair is dependent"))
 
     # pointwise chain: | |f|-|g| | <= 2 |Re(u conj v)|^(1/2)
     scale = max(1.0, float(np.max(modulus(f))), float(np.max(modulus(g))))
@@ -335,14 +328,6 @@ def perp_pair_to_spr_failure(u, v, norm, m, C, field="complex"):
     if den > 2.0 * perp + 1e-12:
         raise CertificateError(
             f"modulus gap {den:.3e} exceeds 2 perp = {2 * perp:.3e}"
-        )
-
-    basis = np.stack([u, v], axis=1)
-    floor = float(np.min(norm.of_rows(_FLOOR_ROWS[field] @ basis.T)))
-    if floor < delta * m / 2.0 - 1e-9:
-        raise CertificateError(
-            f"coefficient-sphere floor {floor:.9f} below delta m/2 = "
-            f"{delta * m / 2:.9f}"
         )
 
     rep = spr_ratio(f, g, norm, field=field)
@@ -369,8 +354,8 @@ def complex_pr_equivalences(f, g, atol=1e-9):
     f = as_vector(f, "complex")
     g = as_vector(g, "complex")
     check_same_dim(f, g)
-    _require_independent(
-        f, g, PreconditionError("conditions require an independent pair")
+    require_independent(
+        np.stack([f, g]), PreconditionError("conditions require an independent pair")
     )
     s = max(1.0, float(np.max(modulus(f))), float(np.max(modulus(g))))
     usum = f + g

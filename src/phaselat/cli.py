@@ -194,41 +194,31 @@ def _witness_payload(wit, field):
     }
 
 
-def _emit_human(payload, indent=0):
+def _human_lines(payload, indent=0):
     pad = "  " * indent
     for key in sorted(payload):
         val = payload[key]
         if isinstance(val, dict):
-            print(f"{pad}{key}:")
-            _emit_human(val, indent + 1)
+            yield f"{pad}{key}:\n"
+            yield from _human_lines(val, indent + 1)
         else:
-            print(f"{pad}{key}: {val}")
+            yield f"{pad}{key}: {val}\n"
 
 
 def _report(args, command, payload, t0, ok=True):
-    payload = dict(payload)
-    payload["command"] = command
-    payload["seed"] = args.seed
-    payload["ok"] = bool(ok)
-    payload["wall_time_s"] = round(time.perf_counter() - t0, 6)
+    payload = dict(payload, command=command, ok=bool(ok),
+                   wall_time_s=round(time.perf_counter() - t0, 6))
+    if "seed" in args:
+        payload["seed"] = args.seed
     if args.json:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
     else:
-        if args.out:
-            with open(args.out, "w") as fh:
-                stash = sys.stdout
-                sys.stdout = fh
-                try:
-                    _emit_human(payload)
-                finally:
-                    sys.stdout = stash
-        else:
-            _emit_human(payload)
+        text = "".join(_human_lines(payload))
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return 0 if ok else 1
 
 
@@ -566,36 +556,41 @@ def _build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, file_arg=True):
+    # each subcommand takes only the flags it reads
+    flags = {"restarts": {"type": int, "default": 12},
+             "iters": {"type": int, "default": 250},
+             "seed": {"type": int, "default": 0},
+             "tol": {"type": float, "default": 1e-8}}
+    search = ("restarts", "iters", "seed")
+
+    def common(p, *names, file_arg=True):
         if file_arg:
             p.add_argument("file", help="JSON problem file")
-        p.add_argument("--restarts", type=int, default=12)
-        p.add_argument("--iters", type=int, default=250)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-8)
+        for name in names:
+            p.add_argument(f"--{name}", **flags[name])
         p.add_argument("--json", action="store_true")
         p.add_argument("--out", default=None, help="write the report to PATH")
 
     p = sub.add_parser("analyze", help="SPR estimate plus disjointness cross-check")
-    common(p)
+    common(p, *search)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("search-disjoint", help="most disjoint normalized pair")
-    common(p)
+    common(p, *search)
     p.set_defaults(fn=cmd_search_disjoint)
 
     p = sub.add_parser("search-perp", help="least perpendicularity defect at separation >= m")
-    common(p)
+    common(p, *search)
     p.add_argument("--m", type=float, default=0.0)
     p.set_defaults(fn=cmd_search_perp)
 
     p = sub.add_parser("reduce", help="fit a Hilbert norm and orthogonally reduce the pair")
-    common(p)
+    common(p, "tol")
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("build", help="run a witness construction on the file's pair")
     p.add_argument("builder", choices=["adp2spr", "spr2perp", "perp2spr", "pr-equiv"])
-    common(p)
+    common(p, "tol")
     p.add_argument("--m", type=float, default=0.1)
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--C", type=float, default=100.0)
@@ -603,14 +598,14 @@ def _build_parser():
 
     p = sub.add_parser("verify", help="run a property sweep")
     p.add_argument("suite", choices=["identities", "real-spr", "complex-spr"])
-    common(p, file_arg=False)
+    common(p, "seed", file_arg=False)
     p.add_argument("--dim", type=int, default=8)
     p.add_argument("--samples", type=int, default=200)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("example", help="built-in gallery examples")
     p.add_argument("name", choices=["c4"])
-    common(p, file_arg=False)
+    common(p, *search, file_arg=False)
     p.add_argument("--delta", type=float, default=1.0 / 99.0)
     p.set_defaults(fn=cmd_example)
     return ap

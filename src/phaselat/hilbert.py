@@ -17,8 +17,9 @@ conditions are solved over every support of at most 3 (real) or 4
 (complex) rows in one batch, and it encloses its rows to rounding.
 
 Extrema of the ratio ||x||_H / ||x|| are located on a grid and polished.
-Every grid and the random sphere sample are fixed module constants, built
-once by mapping sphere parameters to coefficient rows in _sphere_points.
+One grid per field, which also supplies the enclosure's candidate rows,
+and the random sphere sample are fixed module constants, built once by
+mapping sphere parameters to coefficient rows in _sphere_points.
 On the real circle each candidate gets a bounded Brent search.  On the
 complex sphere every polish of one stage (the grid starts of the scan and,
 while the support is refined, one start per support point) runs as a
@@ -291,12 +292,11 @@ def _sphere_rows(field, count, seed):
     return rows
 
 
-# fixed grids, built once: the enclosure's candidate rows per field (the
-# complex grid also serves the complex scans) and the real scan's circle
+# one fixed grid per field, built once: the enclosure's candidate rows and
+# the starting points of every scan
 _COMPLEX_SHAPE = (65, 128)
 _FIT_GRID = {"real": _sphere_grid("real", 4096),
              "complex": _sphere_grid("complex", *_COMPLEX_SHAPE)}
-_SCAN_REAL = _sphere_grid("real", 4097)
 # the distortion measurement required of every fitted form
 _SAMPLE = {field: _sphere_rows(field, 2048, 182818284) for field in ("real", "complex")}
 
@@ -388,40 +388,31 @@ def _nelder_mead_rows(fn, field, X0, sign, h, xatol, fatol, maxiter):
         iters += 1
 
 
-def _scan_complex(fn, signs, support=()):
-    """Extrema of fn over the complex coefficient sphere, grid plus polish.
+def _scan_complex(fn, sign, support=()):
+    """Extremum of sign * fn over the complex coefficient sphere, grid plus polish.
 
-    For each sign, six spread grid minima of sign * fn seed polishes of
-    sign * fn; each row of ``support`` (sphere parameters) seeds a finer
-    polish towards the maximum of fn.  Every start runs in one lockstep
-    Nelder-Mead batch.  Returns one (value, coefficient row) extremum per
-    sign and the polished support rows.
+    Six spread grid minima of sign * fn seed polishes of sign * fn; each
+    row of ``support`` (sphere parameters) seeds a finer polish of the
+    same.  Every start runs in one lockstep Nelder-Mead batch.  Returns
+    the (value of fn, coefficient row) extremum and the polished support
+    rows.
     """
     grid, rows = _FIT_GRID["complex"]
     n_phi = _COMPLEX_SHAPE[1]
     vals = fn(rows)
+    order = np.argsort(sign * vals)
+    starts = _spread_starts(order, _COMPLEX_SHAPE, 6, 4)
     h = 0.5 * (grid[n_phi, 0] - grid[0, 0])
-    X0, opts, groups = [], [], []
-    for sign in signs:
-        order = np.argsort(sign * vals)
-        starts = _spread_starts(order, _COMPLEX_SHAPE, 6, 4)
-        groups.append((sign, int(order[0]), len(X0), len(X0) + len(starts)))
-        X0 += [grid[i * n_phi + j] for i, j in starts]
-        opts += [(sign, h, 1e-11, 1e-13, 150)] * len(starts)
-    n_grid = len(X0)
-    X0 += list(support)
-    opts += [(-1.0, 5e-3, 1e-13, 1e-15, 200)] * (len(X0) - n_grid)
+    X0 = [grid[i * n_phi + j] for i, j in starts] + list(support)
+    opts = ([(sign, h, 1e-11, 1e-13, 150)] * len(starts)
+            + [(sign, 5e-3, 1e-13, 1e-15, 200)] * len(support))
     X, F = _nelder_mead_rows(fn, "complex", np.array(X0), *np.array(opts).T)
     C = _sphere_points(X, "complex")
-    extrema = []
-    for sign, k0, a, b in groups:
-        # earliest strict improvement wins, the grid point first
-        k = int(np.argmin(np.concatenate([[sign * vals[k0]], F[a:b]])))
-        if k == 0:
-            extrema.append((float(vals[k0]), rows[k0]))
-        else:
-            extrema.append((sign * float(F[a + k - 1]), C[a + k - 1]))
-    return extrema, C[n_grid:]
+    k0, n_grid = int(order[0]), len(starts)
+    # earliest strict improvement wins, the grid point first
+    k = int(np.argmin(np.concatenate([[sign * vals[k0]], F[:n_grid]])))
+    best = (float(vals[k0]), rows[k0]) if k == 0 else (sign * float(F[k - 1]), C[k - 1])
+    return best, C[n_grid:]
 
 
 def _circle_polish(fn, sign, t0, half, xatol, maxiter):
@@ -439,32 +430,26 @@ def _circle_polish(fn, sign, t0, half, xatol, maxiter):
     return float(res.fun), np.array([math.cos(t), math.sin(t)])
 
 
-def _scan_real(fn, signs, support=()):
-    """Extrema of fn over the real coefficient circle, grid plus polish.
+def _scan_real(fn, sign, support=()):
+    """Extremum of sign * fn over the real coefficient circle, grid plus polish.
 
-    For each sign, the eight best grid minima of sign * fn seed polishes
-    of sign * fn over one grid step; each angle of ``support`` seeds a
-    finer polish towards the maximum of fn.  Returns what _scan_complex
-    returns.
+    The eight best grid minima of sign * fn seed polishes of sign * fn
+    over one grid step; each angle of ``support`` seeds a finer polish of
+    the same.  Returns what _scan_complex returns.
     """
-    grid, rows = _SCAN_REAL
+    grid, rows = _FIT_GRID["real"]
     t = grid[:, 0]
     step = t[1] - t[0]
-    vals = fn(rows)
-    extrema = []
-    for sign in signs:
-        sv = sign * vals
-        local = np.flatnonzero((sv <= np.roll(sv, 1)) & (sv <= np.roll(sv, -1)))
-        k0 = int(np.argmin(sv))
-        best_v = float(sv[k0])
-        best_c = np.array([math.cos(t[k0]), math.sin(t[k0])])
-        for k in local[np.argsort(sv[local])][:8]:
-            v, c = _circle_polish(fn, sign, t[k], step, 1e-12, 300)
-            if v < best_v:
-                best_v, best_c = v, c
-        extrema.append((sign * best_v, best_c))
-    polished = [_circle_polish(fn, -1.0, x[0], 0.02, 1e-13, 200)[1] for x in support]
-    return extrema, polished
+    sv = sign * fn(rows)
+    local = np.flatnonzero((sv <= np.roll(sv, 1)) & (sv <= np.roll(sv, -1)))
+    k0 = int(np.argmin(sv))
+    best_v, best_c = float(sv[k0]), rows[k0]
+    for k in local[np.argsort(sv[local])][:8]:
+        v, c = _circle_polish(fn, sign, t[k], step, 1e-12, 300)
+        if v < best_v:
+            best_v, best_c = v, c
+    polished = [_circle_polish(fn, sign, x[0], 0.02, 1e-13, 200)[1] for x in support]
+    return (sign * best_v, best_c), polished
 
 
 def _support_exchange(rows, S):
@@ -518,7 +503,7 @@ def _refine_support(Q, P, basis, norm, field):
     for _ in range(8):
         fn = _ratio_fn(basis, norm, Q)
         X0 = [_sphere_param(c, field) for c in P]
-        [(hi, hi_c)], polished = scan(fn, (-1.0,), X0)
+        (hi, hi_c), polished = scan(fn, -1.0, X0)
         moved = [hi_c, *polished]
         new = np.stack([c / norm(basis @ c) for c in moved])
         # the support-seeded maxima see spikes the grid scan smooths over,
@@ -553,7 +538,7 @@ def _fit_ellipsoid(basis, norm, field):
     # _refine_support has measured the maximum of Q's ratio; scan the minimum
     fn = _ratio_fn(basis, norm, Q)
     scan = _scan_real if field == "real" else _scan_complex
-    [(lo, _)] = scan(fn, (1.0,))[0]
+    lo = scan(fn, 1.0)[0][0]
     sample_ratios = fn(_SAMPLE[field])
     lo = min(lo, float(sample_ratios.min()))
     hi = max(hi, float(sample_ratios.max()))

@@ -209,7 +209,7 @@ class PairWitness:
         v = as_vector(v, field)
         nu, nv = norm(u), norm(v)
         if abs(nu - 1.0) > 1e-10 or abs(nv - 1.0) > 1e-10:
-            raise ValueError("witness vectors must be normalized")
+            raise InputError("witness vectors must be normalized")
         sep = unimodular_distance(u, v, norm, field=field).distance
         dis = norm(np.minimum(modulus(u), modulus(v)))
         perp = norm(perp_profile(u, v))

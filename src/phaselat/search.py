@@ -45,9 +45,12 @@ _SEP_GRID = np.exp(1j * _SEP_ANGLES)
 _SEP_REFINE = np.exp(1j * (_SEP_ANGLES[:, None]
                            + np.linspace(-_SEP_ANGLES[1], _SEP_ANGLES[1], 17)[None, :]))
 _SEP_GRID.flags.writeable = _SEP_REFINE.flags.writeable = False
-# refined coarse separation overestimates the true one by at most
-# ~2 sin(spacing / 32) * ||g||, about 8e-3 on normalized pairs
+# in its argmin's basin the refined coarse separation overestimates by at
+# most ~2 sin(spacing / 32) ||g||, 8e-3 on normalized pairs; a minimum in
+# another basin has passed the margin by up to 0.0204 (complex, p = inf),
+# and search_perp_pair re-measures every witness and drops such a pair
 _SEP_MARGIN = 0.01
+_DELTA0 = 0.35  # every restart's first pattern step
 # grid entries (candidate rows x phase angles x dimension) one objective
 # call may hold, as phase_metric._ZOOM_CELLS; restarts run in such blocks
 _BLOCK_CELLS = 1 << 20
@@ -143,8 +146,8 @@ def _normalize_joint(X, da):
     return X, keep
 
 
-def _pattern_search(objective, X0, da, max_sweeps, delta0=0.35,
-                    delta_min=1e-12, plateau=None, project=None):
+def _pattern_search(objective, X0, da, max_sweeps, delta_min=1e-12, plateau=None,
+                    project=None):
     """Best-improvement pattern search; each row of ``X0`` is a restart.
 
     Every restart keeps its own point, value, step, sweep count and stop
@@ -152,10 +155,11 @@ def _pattern_search(objective, X0, da, max_sweeps, delta0=0.35,
     ``objective`` call (lower is better, NaN is +inf; a row's value must
     not depend on its batch).  ``project`` returns the cleaned rows and
     their keep mask; the default restricts to two unit coefficient spheres.
-    A restart takes its first least candidate if it beats its value by
-    1e-15 and halves its step otherwise, and stops after ``max_sweeps``,
-    at ``delta_min``, on a non-finite value, or when a scored sweep leaves
-    its step below ``plateau(values)``.  Returns (X, values, sweeps).
+    A restart starts at step _DELTA0, takes its first least candidate if
+    it beats its value by 1e-15 and halves its step otherwise, and stops
+    after ``max_sweeps``, at ``delta_min``, on a non-finite value, or when
+    a scored sweep leaves its step below ``plateau(values)``.  Returns
+    (X, values, sweeps).
     """
     project = project or _normalize_halves
     # start points and values one row at a time, as a serial run takes
@@ -164,7 +168,7 @@ def _pattern_search(objective, X0, da, max_sweeps, delta0=0.35,
     fx = np.array([objective(x[None, :])[0] for x in X])
     fx[np.isnan(fx)] = math.inf
     R, dim = X.shape
-    delta = np.full(R, delta0)
+    delta = np.full(R, _DELTA0)
     sweeps = np.zeros(R, dtype=int)
     live = np.full(R, max_sweeps > 0)
     steps = np.vstack([np.eye(dim), -np.eye(dim)])
@@ -410,7 +414,7 @@ def search_almost_disjoint(E, budget=None, seed=0):
     best_x = None
     best_v = math.inf
     search = partial(_pattern_search, objective, da=E._param_dim(),
-                     max_sweeps=budget.iterations_per_restart, plateau=lambda f: 1e-14)
+                     max_sweeps=budget.iterations_per_restart)
     for x, fx, _ in _restart_blocks(E, _random_params(rng, E, budget.restarts), search):
         if fx < best_v:
             best_v, best_x = fx, x
@@ -427,7 +431,7 @@ def search_perp_pair(E, m, budget=None, seed=0, feas_tol=1e-6):
     the unconstrained search.
     """
     if m < 0:
-        raise ValueError("m must be nonnegative")
+        raise InputError("m must be nonnegative")
     budget = budget or SearchBudget()
     rng = np.random.default_rng(seed)
     norm = E.ambient.norm
@@ -483,7 +487,7 @@ def check_pr(E, m_grid=(0.05, 0.1, 0.2), budget=None, seed=0, eps_fail=1e-6):
     found under this budget", never a proof.
     """
     if len(m_grid) == 0:
-        raise ValueError("m_grid must be nonempty")
+        raise InputError("m_grid must be nonempty")
     budget = budget or SearchBudget()
     per_m = {}
     for i, m in enumerate(m_grid):

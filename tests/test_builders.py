@@ -23,6 +23,7 @@ from phaselat import (
     perp_pair_to_spr_failure,
     spr_failure_to_perp_pair,
     spr_ratio,
+    unimodular_distance,
 )
 from phaselat.builders import M_RANGE_MAX, BuilderParams, delta_of_m
 
@@ -228,6 +229,71 @@ def test_perp_to_spr_failure_parameter_validation():
         perp_pair_to_spr_failure(u, v, SUP, 0.1, 0.0)
     with pytest.raises(PreconditionError):
         perp_pair_to_spr_failure(2.0 * u, v, SUP, 0.1, 10.0)
+
+
+def _unit_coefficients(rng, field):
+    # seeded unit (alpha, beta) rows plus a grid of the sphere modulo a
+    # global phase, which leaves ||alpha u + beta v|| unchanged
+    if field == "real":
+        z = rng.standard_normal((4096, 2))
+        t = np.linspace(0.0, np.pi, 1024, endpoint=False)
+        grid = np.stack([np.cos(t), np.sin(t)], axis=1)
+    else:
+        z = rng.standard_normal((4096, 2)) + 1j * rng.standard_normal((4096, 2))
+        s, phi = np.meshgrid(np.linspace(0.0, np.pi / 2, 49),
+                             np.linspace(0.0, 2.0 * np.pi, 96, endpoint=False),
+                             indexing="ij")
+        grid = np.stack([np.cos(s).ravel() + 0j, (np.sin(s) * np.exp(1j * phi)).ravel()],
+                        axis=1)
+    return np.vstack([z / np.linalg.norm(z, axis=1)[:, None], grid])
+
+
+def _unimodular(rng, field, size=None):
+    if field == "real":
+        return rng.choice([-1.0, 1.0], size)
+    return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size))
+
+
+def _floor_panel(rng, field, norm):
+    # random and near-colinear pairs for n = 2..7, then criterion 5's
+    # bridged pairs: disjoint supports plus one shared coordinate whose
+    # amplitude sits at half the perpendicularity bound
+    for n in range(2, 8):
+        yield random_vec(rng, n, field), random_vec(rng, n, field)
+        u = random_vec(rng, n, field)
+        yield u, _unimodular(rng, field) * u + 10.0 ** rng.uniform(-6, -1) * random_vec(
+            rng, n, field)
+    for m in (0.05, 0.1, 0.2):
+        for C in (10.0, 100.0):
+            perm = rng.permutation(5)
+            ku = 1 + int(rng.integers(0, 3))
+            u = np.zeros(5, dtype=complex if field == "complex" else float)
+            v = np.zeros_like(u)
+            u[perm[:ku]] = random_vec(rng, ku, field)
+            v[perm[ku:4]] = random_vec(rng, 4 - ku, field)
+            u, v = u / norm(u), v / norm(v)
+            u[perm[4]], v[perm[4]] = 0.5 * delta_of_m(m) * m / (2.0 * C) * _unimodular(
+                rng, field, 2)
+            yield u, v
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_coefficient_sphere_floor_lemma(field, p):
+    # perp_pair_to_spr_failure relies on min over unit (alpha, beta) of
+    # ||alpha u + beta v|| >= sep / (2 sqrt(2)) for normalized u, v, and on
+    # delta(m) m / 2 lying below m / (2 sqrt(2)); a dense sample of the
+    # coefficient sphere never undercuts the proven floor
+    for m in (0.05, 0.1, 0.2):
+        assert delta_of_m(m) * m / 2.0 < m / (2.0 * math.sqrt(2.0))
+    rng = np.random.default_rng([47, field == "complex", int(min(p, 4.0))])
+    norm = NormSpec(p)
+    coeffs = _unit_coefficients(rng, field)
+    for u, v in _floor_panel(rng, field, norm):
+        u, v = u / norm(u), v / norm(v)
+        sep = unimodular_distance(u, v, norm, field=field).distance
+        floor = float(np.min(norm.of_rows(coeffs @ np.stack([u, v]))))
+        assert floor >= sep / (2.0 * math.sqrt(2.0)) * (1.0 - 1e-12), (floor, sep)
 
 
 def test_equivalences_frozen_examples():

@@ -335,6 +335,32 @@ def test_unknown_flag_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["reduce", "{pair}", "--restarts", "3"],
+    ["reduce", "{pair}", "--seed", "1"],
+    ["build", "adp2spr", "{pair}", "--iters", "40"],
+    ["verify", "identities", "--tol", "1e-6"],
+    ["analyze", "{basis}", "--tol", "1e-6"],
+    ["example", "c4", "--tol", "1e-6"],
+])
+def test_flags_a_command_does_not_read_exit_two(tmp_path, capsys, argv):
+    paths = {"{pair}": _problem(tmp_path, "reduce2.json", REDUCE2),
+             "{basis}": _problem(tmp_path, "real3.json", REAL3)}
+    code, out, err = _run(capsys, [paths.get(a, a) for a in argv])
+    assert code == 2
+    assert out == "" and "unrecognized arguments" in err
+
+
+def test_only_seeded_commands_report_seed(tmp_path, capsys):
+    f = _problem(tmp_path, "reduce2.json", REDUCE2)
+    code, out, _ = _run(capsys, ["reduce", f, "--json"])
+    assert code == 0 and "seed" not in json.loads(out)
+    code, out, _ = _run(
+        capsys, ["verify", "identities", "--json", "--samples", "4", "--seed", "5"]
+    )
+    assert code == 0 and json.loads(out)["seed"] == 5
+
+
 def test_no_subcommand_exits_two(capsys):
     assert _run(capsys, [])[0] == 2
 

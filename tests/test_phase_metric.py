@@ -239,7 +239,7 @@ def test_pair_witness_recomputes_measures(rng):
 def test_pair_witness_requires_normalized_inputs(rng):
     norm = NormSpec(2.0)
     u = random_vec(rng, 4, "complex")
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         PairWitness.from_vectors(2.0 * u / norm(u), u / norm(u), norm, "complex")
 
 

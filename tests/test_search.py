@@ -196,7 +196,7 @@ def test_perp_pair_infeasible_separation():
 
 def test_perp_pair_rejects_negative_m():
     E = _cross_subspace()
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         search_perp_pair(E, -0.1)
 
 
@@ -236,7 +236,7 @@ def test_check_pr_records_infeasible_m_as_inf():
 
 
 def test_check_pr_rejects_empty_grid():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         check_pr(_cross_subspace(), m_grid=())
 
 
