@@ -4,9 +4,10 @@ The phase class of f is {lambda * f : |lambda| = 1}; the distance between two
 classes is min over unimodular lambda of norm(f - lambda * g). Over the real
 field the minimum is exact (lambda is +1 or -1). Over the complex field a
 Euclidean norm admits a closed form through the inner product. Every other
-norm is sampled on a grid of the circle; all bracketed grid minima are then
-zoomed together, one batched norm evaluation per round, and only the best of
-them gets a final bounded Brent polish.
+norm is screened on a grid of the circle, computed from squared moduli by
+one real matrix product; all bracketed grid minima are then re-evaluated and
+zoomed together in direct form, one batched norm evaluation per round, and
+only the best of them gets a final bounded Brent polish.
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,10 @@ RATIO_ATOL_SCALE = 1e-9
 # the generic branch's circle grid, read-only
 _GRID_THETA = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
 _GRID_LAMBDA = np.exp(1j * _GRID_THETA)
+# -2 (cos t, sin t) per grid angle t: the factor of the squared screen
+_GRID_COS_SIN = -2.0 * np.stack([_GRID_LAMBDA.real, _GRID_LAMBDA.imag], axis=1)
 _GRID_THETA.flags.writeable = _GRID_LAMBDA.flags.writeable = False
+_GRID_COS_SIN.flags.writeable = False
 # batched zoom of the grid minima: 8 samples per bracket and round, the
 # bracket shrinking by 4 each round, from one grid step to about 7e-10
 # after 12 rounds, inside the winner's +-1e-8 polish
@@ -68,11 +72,14 @@ def unimodular_distance(f, g, norm, *, field="complex"):
     """Minimize norm(f - lambda * g) over unimodular scalars lambda.
 
     Over the real field the two candidate signs are compared exactly, and
-    a weighted 2-norm has a closed form. Every other complex case samples
-    512 equally spaced angles on the circle, refines every local minimum
-    of the grid (a run of tied adjacent minima as one) by a batched
+    a weighted 2-norm has a closed form. Every other complex case screens
+    512 equally spaced angles on the circle, with the squared moduli
+    |f_i - lambda g_i|^2 = |f_i|^2 + |g_i|^2 - 2 Re(conj(lambda) f_i conj(g_i))
+    of all angles from one real matrix product. The screen only picks the
+    brackets: every local minimum of the grid (a run of tied adjacent
+    minima as one) is re-evaluated directly and refined by a batched
     bracket zoom, which drops a bracket once it provably cannot hold the
-    least value, and polishes the best one. The returned distance is
+    least value, and the best one is polished. The returned distance is
     always an achieved value norm(f - lambda_star * g), so it bounds the
     true minimum from above; a minimum narrower than one grid step can be
     missed.
@@ -101,7 +108,7 @@ def unimodular_distance(f, g, norm, *, field="complex"):
 def _grid_distance(f, g, norm):
     # the generic complex branch of unimodular_distance, for any norm; a
     # test cross-checks it against the weighted 2-norm closed form
-    vals = norm.of_rows(f[None, :] - _GRID_LAMBDA[:, None] * g[None, :])
+    vals = _grid_values(f, g, norm)
 
     # every grid minimum is zoomed in one batch per round, a cyclic run of
     # adjacent minima with equal values as one bracket at the run's lowest
@@ -114,10 +121,10 @@ def _grid_distance(f, g, norm):
         # the run through index 0 began at the last run start (none if it
         # is the whole circle)
         local = np.r_[0, local[:-1]]
-    if local.size == 0:
-        # only a NaN on the grid leaves no minimum to bracket
-        raise InputError("phase distance is undefined for non-finite vectors")
-    t, d = _zoom(f, g, norm, _GRID_THETA[local], vals[local], 2.0 * np.pi / len(_GRID_THETA))
+    # the screened values only choose the brackets; the zoom starts from
+    # the direct values at their centres
+    d = norm.of_rows(f[None, :] - _GRID_LAMBDA[local, None] * g[None, :])
+    t, d = _zoom(f, g, norm, _GRID_THETA[local], d, 2.0 * np.pi / len(_GRID_THETA))
     k = int(np.argmin(d))
     best_t, best_d = float(t[k]), float(d[k])
     # bounded Brent cannot resolve below sqrt(eps) * |t|; polish in a
@@ -131,6 +138,30 @@ def _grid_distance(f, g, norm):
     if float(res.fun) < best_d:
         best_t, best_d = best_t + float(res.x), float(res.fun)
     return PhaseAlignment(distance=best_d, lambda_star=complex(np.exp(1j * best_t)))
+
+
+def _grid_values(f, g, norm):
+    """norm(f - lambda * g) at every grid scalar lambda, from squared moduli.
+
+    With a_i = |f_i|^2 + |g_i|^2 and c_i = f_i conj(g_i),
+    |f_i - e^{it} g_i|^2 = a_i - 2 (cos t Re c_i + sin t Im c_i), so the
+    whole grid is one real (512 x 2) @ (2 x n) product.  f and g are first
+    scaled by the power of two that puts their largest real or imaginary
+    part in [1/2, 1), so huge and tiny vectors neither overflow nor
+    underflow.  The squares cancel to about sqrt(eps) * (norm(f) + norm(g))
+    near a zero of the distance, so these values can rank grid points but
+    not resolve a minimum.
+    """
+    parts = np.array([f.real, f.imag, g.real, g.imag], dtype=np.float64)
+    top = np.max(np.abs(parts))
+    if not np.isfinite(top):
+        raise InputError("phase distance is undefined for non-finite vectors")
+    e = int(np.frexp(top)[1])
+    fr, fi, gr, gi = np.ldexp(parts, -e)
+    sq = _GRID_COS_SIN @ np.array([fr * gr + fi * gi, fi * gr - fr * gi])
+    sq += fr * fr + fi * fi + gr * gr + gi * gi
+    np.maximum(sq, 0.0, out=sq)
+    return np.ldexp(norm.of_squared_rows(sq), e)
 
 
 def _zoom(f, g, norm, t, d, h):

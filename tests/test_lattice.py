@@ -165,6 +165,48 @@ def test_of_rows_agrees_with_scalar_call(rng):
             norm.of_rows(X), [norm(row) for row in X], rtol=1e-13)
 
 
+def test_sup_norm_rows_equal_the_plain_maximum(rng):
+    # short rows are reduced column by column, long ones by np.max; a max
+    # is exact in any order, so both agree bitwise with the plain reduce
+    for n in (1, 2, 4, 8, 15, 16, 17, 64):
+        X = random_vec(rng, 40 * n, "complex").reshape(40, n)
+        w = rng.uniform(0.5, 2.0, n)
+        assert np.array_equal(NormSpec(np.inf).of_rows(X), np.max(np.abs(X), axis=1))
+        assert np.array_equal(NormSpec(np.inf, weights=w).of_rows(X),
+                              np.max(np.abs(X) * w, axis=1))
+
+
+@pytest.mark.parametrize("p", P_VALUES)
+def test_of_rows_of_huge_and_tiny_entries(p):
+    # a nonzero row whose power overflows or underflows is recomputed with
+    # its largest modulus factored out, as in __call__, without a
+    # RuntimeWarning (pytest makes one an error); other rows keep every bit
+    X = np.array([[1e200, 0.1, 1j], [1e-200, 1e-200j, 0.0], [0.3, -2.0, 1j],
+                  [1e200j, 1e-200, 3e199], [0.0, 0.0, 0.0]])
+    for w in (None, np.array([0.5, 2.0, 1.5])):
+        norm = NormSpec(p, weights=w)
+        got = norm.of_rows(X)
+        np.testing.assert_allclose(got, [norm(row) for row in X], rtol=1e-13)
+        assert got[2] == norm.of_rows(X[2:3])[0]
+        assert got[4] == 0.0
+
+
+@pytest.mark.parametrize("p", P_VALUES)
+def test_of_squared_rows_matches_of_rows(rng, p):
+    X = random_vec(rng, 7 * 40, "complex").reshape(40, 7)
+    X[3] = 0.0
+    for w in (None, rng.uniform(0.5, 2.0, 7)):
+        norm = NormSpec(p, weights=w)
+        np.testing.assert_allclose(
+            norm.of_squared_rows(np.abs(X) ** 2), norm.of_rows(X), rtol=1e-14)
+    # weights whose squares overflow
+    norm = NormSpec(p, weights=np.array([1e300, 1.0, 1e-300, 1.0, 1.0, 1.0, 1.0]))
+    np.testing.assert_allclose(
+        norm.of_squared_rows(np.abs(X) ** 2), norm.of_rows(X), rtol=1e-14)
+    with pytest.raises(InputError):
+        norm.of_squared_rows(np.ones((2, 3)))
+
+
 def test_perp_measure_is_norm_of_profile(rng):
     f = random_vec(rng, 5, "complex")
     g = random_vec(rng, 5, "complex")

@@ -10,7 +10,7 @@ from phaselat import (
     spr_ratio,
     unimodular_distance,
 )
-from phaselat.phase_metric import _grid_distance
+from phaselat.phase_metric import _GRID_LAMBDA, _grid_distance, _grid_values
 from conftest import random_vec
 from oracles import closed_form_l2_distance, grid_distance
 
@@ -90,15 +90,70 @@ def test_solver_matches_dense_grid_oracle(rng, p):
             assert abs(got - norm(f - out.lambda_star * g)) <= 1e-12, family
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
+def test_squared_screen_matches_direct_grid(rng, p):
+    # the screen's squared moduli cancel near a zero of the distance, so
+    # its values are compared only where they are not near zero
+    for n in (2, 3, 5, 8, 64, 2048):
+        for w in (None, rng.uniform(0.5, 2.0, n)):
+            norm = NormSpec(p, weights=w)
+            f = random_vec(rng, n, "complex")
+            g = random_vec(rng, n, "complex")
+            got = _grid_values(f, g, norm)
+            want = norm.of_rows(f[None, :] - _GRID_LAMBDA[:, None] * g[None, :])
+            away = want >= 1e-6 * (norm(f) + norm(g))
+            assert away.sum() >= 500
+            np.testing.assert_allclose(got[away], want[away], rtol=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0, np.inf])
+def test_colinear_pairs_on_a_grid_angle(rng, p):
+    # g = e^{2 pi i k / 512} f puts the zero of the distance on a grid
+    # angle, where the screen's squares cancel worst; the direct zoom must
+    # still resolve it
+    norm = NormSpec(p)
+    for _ in range(8):
+        n = int(rng.integers(2, 9))
+        k = int(rng.integers(512))
+        f = random_vec(rng, n, "complex")
+        for eps in (0.0, 1e-12, 1e-9):
+            g = np.exp(2j * np.pi * k / 512) * f + eps * random_vec(rng, n, "complex")
+            got = unimodular_distance(f, g, norm).distance
+            assert got <= grid_distance(f, g, p) + 1e-12
+            if eps == 0.0:
+                assert spr_ratio(f, g, norm).flag == "degenerate"
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0, np.inf])
+def test_distance_of_huge_and_tiny_pairs(rng, p):
+    # the distance is homogeneous; no power of a 1e+-200 entry may
+    # overflow or underflow into a RuntimeWarning (pytest makes one an
+    # error) or a wrong value
+    norm = NormSpec(p)
+    for _ in range(6):
+        n = int(rng.integers(2, 9))
+        f = random_vec(rng, n, "complex")
+        g = random_vec(rng, n, "complex")
+        d = unimodular_distance(f, g, norm).distance
+        for s in (1e200, 1e-200):
+            got = unimodular_distance(s * f, s * g, norm).distance
+            assert got == pytest.approx(s * d, rel=1e-12)
+    f = np.array([1e200, 0.1, 1j])
+    got = unimodular_distance(f, np.array([1j, 1.0, 0.5]), norm).distance
+    assert got == pytest.approx(1e200, rel=1e-15)
+
+
 def _count_norm_calls(monkeypatch):
-    # [norm calls, rows of the of_rows calls]
-    calls = [0, 0]
-    for attr in ("__call__", "of_rows"):
+    # [norm calls, rows of the of_rows calls, rows of the of_squared_rows
+    # calls]
+    calls = [0, 0, 0]
+    for attr, slot in (("__call__", None), ("of_rows", 1), ("of_squared_rows", 2)):
         fn = getattr(NormSpec, attr)
 
-        def counted(self, x, _fn=fn, _rows=attr == "of_rows"):
+        def counted(self, x, _fn=fn, _slot=slot):
             calls[0] += 1
-            calls[1] += len(x) if _rows else 0
+            if _slot is not None:
+                calls[_slot] += len(x)
             return _fn(self, x)
 
         monkeypatch.setattr(NormSpec, attr, counted)
@@ -133,11 +188,24 @@ def test_plateau_pairs_cost_a_bounded_number_of_norm_calls(rng, monkeypatch):
     f[1024:] = 0.0
     g[:1024] = 0.0
     g *= 0.5 * np.max(np.abs(f)) / np.max(np.abs(g))
-    calls[1] = 0
+    calls[1] = calls[2] = 0
     out = unimodular_distance(f, g, NormSpec(np.inf))
-    assert calls[1] <= 512 + 12 * 8
+    # one screen of the 512 grid rows; one bracket centre and 12 zoom
+    # rounds of 8 evaluated directly
+    assert calls[2] <= 512
+    assert calls[1] <= 1 + 12 * 8
     assert out.distance == np.max(np.abs(f))
     assert out.lambda_star == 1.0 + 0.0j
+
+    # the same with the distance, max |g|, attained on g's support: the
+    # direct values |lambda_k g_i| round differently per grid angle, but
+    # the screen's squared moduli tie exactly, so it is still one bracket
+    g *= 4.0
+    calls[1] = calls[2] = 0
+    out = unimodular_distance(f, g, NormSpec(np.inf))
+    assert calls[2] <= 512
+    assert calls[1] <= 1 + 12 * 8
+    assert out.distance == pytest.approx(np.max(np.abs(g)), rel=1e-15)
 
 
 def test_real_field_compares_two_signs(rng):
