@@ -16,16 +16,24 @@ equality at the worst point found.  Each ellipsoid is exact: its KKT
 conditions are solved over every support of at most 3 (real) or 4
 (complex) rows in one batch, and it encloses its rows to rounding.
 
-Extrema of the ratio ||x||_H / ||x|| are located on a grid and polished.
-One grid per field, which also supplies the enclosure's candidate rows,
-and the random sphere sample are fixed module constants, built once by
-mapping sphere parameters to coefficient rows in _sphere_points.
-On the real circle each candidate gets a bounded Brent search.  On the
-complex sphere every polish of one stage (the grid starts of the scan and,
-while the support is refined, one start per support point) runs as a
-single lockstep Nelder-Mead batch that follows scipy's method step for
-step, so each simplex step costs one batched norm evaluation for all
-starts instead of one call per trial point.
+Sup-norm fits are exact.  The unit ball {c : w_k |b_k . c| <= 1} is
+cut out by the basis rows, so a form's maximum on it lies at an extreme
+point where two rows are active; those candidates are enumerated over a
+small active row set grown by constraint generation.  The farthest
+point found joins the ellipsoid's support until the ellipsoid encloses
+the ball to 3e-10.  The ratio's minimum has a closed form,
+1 / max_k w_k sqrt(b_k Q^-1 b_k^H).
+
+At p in {1, 3} the extrema of the ratio ||x||_H / ||x|| are located on a
+grid and polished.  One grid per field, which also supplies the
+enclosure's candidate rows, and the random sphere sample are fixed module
+constants, built once by mapping sphere parameters to coefficient rows in
+_sphere_points.  On the real circle each candidate gets a bounded Brent
+search.  On the complex sphere every polish of one stage (the grid starts
+of the scan and, while the support is refined, one start per support
+point) runs as a single lockstep Nelder-Mead batch that follows scipy's
+method step for step, so each simplex step costs one batched norm
+evaluation for all starts instead of one call per trial point.
 """
 
 import functools
@@ -198,8 +206,12 @@ def _mvee_centered(C):
         lam = np.linalg.solve(G, rhs)[..., 0]
     except np.linalg.LinAlgError:
         # four complex rows on one circle of the sphere, or two projective
-        # duplicates (whose multipliers come back 0), have singular systems
-        lam = (np.linalg.pinv(G) @ rhs)[..., 0]
+        # duplicates (whose multipliers come back 0), have singular systems;
+        # only those go through the pseudo-inverse
+        sing = np.linalg.det(G) == 0.0
+        lam = np.empty(rhs.shape[:2])
+        lam[~sing] = np.linalg.solve(G[~sing], rhs[~sing])[..., 0]
+        lam[sing] = (np.linalg.pinv(G[sing]) @ rhs[sing])[..., 0]
     q = np.einsum("sk,skd->sd", lam, phi[idx]) @ j_inv
     vals = q @ phi.T
     resid = np.maximum(vals.max(axis=1) - 1.0, -lam.min(axis=1) / np.maximum(
@@ -524,21 +536,136 @@ def _refine_support(Q, P, basis, norm, field):
     return best_Q, best_hi
 
 
+def _vertex_max(AR, Q):
+    """Largest c^H Q c over the ball {c : |a . c| <= 1 for every row a of AR}.
+
+    The maximum of a convex form lies at an extreme point, where two
+    independent rows j, k are active: c = M^-1 (1, z) for their 2 x 2
+    matrix M.  On the real field z = +-1.  On the complex field
+    z = e^{i delta}, where delta is either -arg A01 of A = M^-H Q M^-1
+    (the form's maximum over the pair's circle) or one of the at most two
+    angles where a third row l reaches |x_l + y_l e^{i delta}| = 1, with
+    (x_l, y_l) = a_l M^-1 (an end of a feasible arc).  Every candidate is
+    scaled onto the ball's boundary by its largest |a . c|, so each one is
+    a point of the ball and the best is the ball's maximum, with no
+    feasibility tolerance.  Returns (c, c^H Q c), or None when no two rows
+    are independent.
+    """
+    j, k = np.triu_indices(AR.shape[0], 1)
+    det = AR[j, 0] * AR[k, 1] - AR[j, 1] * AR[k, 0]
+    ok = det != 0.0
+    if not ok.any():
+        return None
+    j, k, det = j[ok], k[ok], det[ok, None]
+    # c = u + z v: the columns of M^-1
+    u = np.stack([AR[k, 1], -AR[k, 0]], axis=1) / det
+    v = np.stack([-AR[j, 1], AR[j, 0]], axis=1) / det
+    if np.iscomplexobj(AR):
+        z0 = np.exp(-1j * np.angle(np.einsum("pi,ij,pj->p", np.conj(u), Q, v)))
+        x, y = u @ AR.T, v @ AR.T
+        s = np.conj(x) * y
+        r = np.abs(s)
+        # Re(s z) = h on |z| = 1: z = e^{-i arg s} (t +- i sqrt(1 - t^2))
+        h = 0.5 * (1.0 - np.abs(x) ** 2 - np.abs(y) ** 2)
+        t = np.divide(np.clip(h, -r, r), r, out=np.zeros_like(r), where=r > 0.0)
+        e = np.exp(-1j * np.angle(s))
+        w = np.sqrt(1.0 - t * t)
+        z = np.concatenate([z0[:, None], e * (t + 1j * w), e * (t - 1j * w)], axis=1)
+    else:
+        z = np.broadcast_to(np.array([1.0, -1.0]), (len(det), 2))
+    C = (u[:, None, :] + z[:, :, None] * v[:, None, :]).reshape(-1, 2)
+    C /= np.max(np.abs(C @ AR.T), axis=1)[:, None]
+    vals = _quad_rows(Q, C)
+    best = int(np.argmax(vals))
+    return C[best], float(vals[best])
+
+
+def _sup_ball_max(A, Q, R):
+    """Maximum of c^H Q c over the sup-norm ball {c : |A c| <= 1}, exactly.
+
+    Constraint generation: _vertex_max solves the ball of the rows R only,
+    a superset of the true ball, and the row its best point violates most
+    joins R, until that point's full |A c| is at most 1 + 1e-12.  R is a
+    list of row indices, grown in place and kept by the caller.  Returns
+    the point c, whose largest |a . c| over R is 1, the value c^H Q c,
+    which bounds the maximum over the ball from above, and ||A c||_inf.
+    """
+    for _ in range(A.shape[0] + 1):
+        best = _vertex_max(A[R], Q)
+        if best is None:
+            # the rows of R are parallel: add the row most independent of them
+            a = A[R[0]]
+            R.append(int(np.argmax(np.abs(A[:, 0] * a[1] - A[:, 1] * a[0]))))
+            continue
+        c, val = best
+        dev = np.abs(A @ c)
+        worst = int(np.argmax(dev))
+        if dev[worst] <= 1.0 + 1e-12:
+            return c, val, float(dev[worst])
+        R.append(worst)
+    raise CertificateError("sup-norm ball maximum did not settle on a row set")
+
+
+# the exact farthest point of the sup-norm ball joins the support until
+# the ellipsoid encloses it to _SUP_TOL, for at most _SUP_ROUNDS rounds
+_SUP_TOL = 3e-10
+_SUP_ROUNDS = 60
+
+
+def _sup_norm_contact(Q, P, A):
+    """Exchange on the exact farthest point of the sup-norm ball.
+
+    The ball on span{f, g} is {c : |A c| <= 1}, with the weighted rows
+    w_k b_k of the basis in A.  Each round takes the ball's exact
+    maximum of c^H Q c (_sup_ball_max); while it exceeds 1 + _SUP_TOL,
+    the point is put first among the support rows P, so no stale support
+    row within _merge_close's gap replaces it, and _mvee_centered solves
+    again.  The row set starts from the rows active at P.  Returns the
+    last Q, its exact maximum ratio ||x||_Q / ||x||, and whether the loop
+    ended by its tolerance rather than its round cap.
+    """
+    R = np.flatnonzero(np.any(np.abs(P @ A.T) >= 1.0 - 1e-9, axis=0)).tolist()
+    for rounds in range(_SUP_ROUNDS + 1):
+        c, val, top = _sup_ball_max(A, Q, R)
+        converged = val - 1.0 <= _SUP_TOL
+        if converged or rounds == _SUP_ROUNDS:
+            break
+        P = _merge_close(np.vstack([c / top, P]))
+        Q, w = _mvee_centered(P)
+        P = P[w > 1e-12]
+    return Q, math.sqrt(val) / min(top, 1.0), converged
+
+
 def _fit_ellipsoid(basis, norm, field):
-    """Gram matrix and measured distortion of the rescaled enclosing ellipsoid."""
+    """Gram matrix and measured distortion of the rescaled enclosing ellipsoid.
+
+    The enclosure starts from a support exchange over the field's grid.
+    At p = inf its ratio's extrema are exact: the maximum from the ball's
+    extreme points (_sup_norm_contact), and the minimum
+    1 / max_k w_k sqrt(b_k Q^-1 b_k^H) in closed form.  At p in {1, 3}
+    the support is refined and both extrema are scanned.  The fixed
+    random sample measures every fit on top.
+    """
     rows = _FIT_GRID[field][1]
     rows = rows / norm.of_rows(rows @ basis.T)[:, None]
 
     S = list(dict.fromkeys(np.linspace(0, rows.shape[0] - 1, 9).astype(int).tolist()))
-    # downstream certificates pay any off-grid excess one for one, so the
-    # contact set is refined continuously; the measured K stays honest
-    # even if the refinement exits on its round cap
-    Q, hi = _refine_support(*_support_exchange(rows, S), basis, norm, field)
-
-    # _refine_support has measured the maximum of Q's ratio; scan the minimum
-    fn = _ratio_fn(basis, norm, Q)
-    scan = _scan_real if field == "real" else _scan_complex
-    lo = scan(fn, 1.0)[0][0]
+    Q, support = _support_exchange(rows, S)
+    if norm.p == math.inf:
+        A = norm._weighted(basis.T).T
+        Q, hi, _ = _sup_norm_contact(Q, support, A)
+        fn = _ratio_fn(basis, norm, Q)
+        lo = 1.0 / math.sqrt(float(np.max(_quad_rows(np.linalg.inv(Q), np.conj(A)))))
+    else:
+        # downstream certificates pay any off-grid excess one for one, so
+        # the contact set is refined continuously; the measured K stays
+        # honest even if the refinement exits on its round cap
+        Q, hi = _refine_support(Q, support, basis, norm, field)
+        # _refine_support has measured the maximum of Q's ratio; scan the
+        # minimum
+        fn = _ratio_fn(basis, norm, Q)
+        scan = _scan_real if field == "real" else _scan_complex
+        lo = scan(fn, 1.0)[0][0]
     sample_ratios = fn(_SAMPLE[field])
     lo = min(lo, float(sample_ratios.min()))
     hi = max(hi, float(sample_ratios.max()))
@@ -551,10 +678,10 @@ def fit_hilbert_norm(f, g, norm, field="complex"):
     Returns a HilbertForm whose norm satisfies
     ||x|| <= ||x||_H <= distortion_K * ||x|| on the span, with
     distortion_K <= sqrt(2) up to solver tolerance; a weighted 2-norm gets
-    its own Gram matrix B^H W B and distortion_K = 1.  Raises
-    DependentVectorsError for (numerically) dependent inputs and
-    FitDistortionError if the measured distortion lands above the
-    sqrt(2) + 0.05 threshold.
+    its own Gram matrix B^H W B and distortion_K = 1, and at p = inf
+    distortion_K is exact up to rounding.  Raises DependentVectorsError
+    for (numerically) dependent inputs and FitDistortionError if the
+    measured distortion lands above the sqrt(2) + 0.05 threshold.
     """
     f = as_vector(f, field)
     g = as_vector(g, field)

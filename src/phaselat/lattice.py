@@ -181,11 +181,15 @@ class NormSpec:
         underflows to 0 is recomputed with its largest modulus factored out.
         """
         a = modulus(np.asarray(X))
-        if self.p == math.inf:
-            return _row_max(self._weighted(a))
-        if self.p == 1.0:
-            return np.sum(self._weighted(a), axis=1)
+        if self.p == math.inf and self.weights is None:
+            return _row_max(a)
+        # a weighted maximum or a sum past the float range is inf, as in
+        # __call__
         with np.errstate(over="ignore"):
+            if self.p == math.inf:
+                return _row_max(self._weighted(a))
+            if self.p == 1.0:
+                return np.sum(self._weighted(a), axis=1)
             r = self._powered_rows(a)
             if r.size and not (0.0 < r.min() and r.max() < math.inf):
                 s = a.max(axis=1, initial=0.0)

@@ -113,8 +113,9 @@ def _grid_distance(f, g, norm):
     # every grid minimum is zoomed in one batch per round, a cyclic run of
     # adjacent minima with equal values as one bracket at the run's lowest
     # grid index; only the winner, the first least value in grid order, is
-    # polished
-    is_min = (vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1))
+    # polished; a run of overflowed (inf) values holds no minimum
+    is_min = ((vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1))
+              & (vals < np.inf))
     tied = is_min & np.roll(is_min, 1) & (vals == np.roll(vals, 1))
     local = np.flatnonzero(is_min & ~tied)
     if tied[0]:
@@ -150,7 +151,8 @@ def _grid_values(f, g, norm):
     part in [1/2, 1), so huge and tiny vectors neither overflow nor
     underflow.  The squares cancel to about sqrt(eps) * (norm(f) + norm(g))
     near a zero of the distance, so these values can rank grid points but
-    not resolve a minimum.
+    not resolve a minimum.  Values past the float range are inf, and
+    InputError is raised when every one of them is.
     """
     parts = np.array([f.real, f.imag, g.real, g.imag], dtype=np.float64)
     top = np.max(np.abs(parts))
@@ -161,7 +163,11 @@ def _grid_values(f, g, norm):
     sq = _GRID_COS_SIN @ np.array([fr * gr + fi * gi, fi * gr - fr * gi])
     sq += fr * fr + fi * fi + gr * gr + gi * gi
     np.maximum(sq, 0.0, out=sq)
-    return np.ldexp(norm.of_squared_rows(sq), e)
+    with np.errstate(over="ignore"):
+        vals = np.ldexp(norm.of_squared_rows(sq), e)
+    if np.isinf(vals.min()):
+        raise InputError("phase distance exceeds the float range")
+    return vals
 
 
 def _zoom(f, g, norm, t, d, h):

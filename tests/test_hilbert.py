@@ -49,7 +49,7 @@ def test_disjoint_sup_norm_pair_needs_sqrt2():
     f = np.array([1.0, 0.0], dtype=complex)
     g = np.array([0.0, 1.0], dtype=complex)
     H = fit_hilbert_norm(f, g, norm)
-    assert H.distortion_K == pytest.approx(SQRT2, abs=5e-3)
+    assert H.distortion_K == pytest.approx(SQRT2, abs=1e-12)
 
 
 def test_fit_stays_under_guarantee(rng):
@@ -349,14 +349,91 @@ def test_fit_rejects_dependent_vectors(rng):
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_fit_rejects_distortion_above_limit(rng, monkeypatch, field):
-    # a refinement that hands back a badly shaped ellipsoid is measured by
-    # the final scans and refused, not reported
-    monkeypatch.setattr(hilbert, "_refine_support",
-                        lambda *args: (np.diag([1.0, 100.0]), 1.0))
+    # a badly shaped ellipsoid is measured and refused, not reported, on
+    # both paths of the fit: at p = 3 the support refinement hands it back
+    # and the final scans measure it; at p = inf the exact contact loop is
+    # handed one that encloses the unit ball, stops at once, and the
+    # closed-form minimum measures it
     f = random_vec(rng, 4, field)
     g = random_vec(rng, 4, field)
+    with monkeypatch.context() as mp:
+        mp.setattr(hilbert, "_refine_support",
+                   lambda *args: (np.diag([1.0, 100.0]), 1.0))
+        with pytest.raises(FitDistortionError):
+            fit_hilbert_norm(f, g, NormSpec(3.0), field=field)
+
+    bad = 1e-8 * np.diag([1.0, 1e-8])
+    exchange, contact = hilbert._support_exchange, hilbert._sup_norm_contact
+    returned = []
+
+    def record(Q, P, A):
+        out = contact(Q, P, A)
+        returned.append(out[0])
+        return out
+
+    monkeypatch.setattr(hilbert, "_support_exchange",
+                        lambda rows, S: (bad, exchange(rows, S)[1]))
+    monkeypatch.setattr(hilbert, "_sup_norm_contact", record)
     with pytest.raises(FitDistortionError):
         fit_hilbert_norm(f, g, NormSpec(np.inf), field=field)
+    assert len(returned) == 1 and returned[0] is bad
+
+
+def _sup_norm_panel():
+    # seeded pairs for the exact sup-norm fit, every other one weighted:
+    # both fields, n from 2 to 12 and one n = 128 pair, plus exactly
+    # disjoint supports, a zero coordinate, two parallel rows, and
+    # near-disjoint pairs
+    rng = np.random.default_rng(1212)
+    panel = []
+    for field in ("real", "complex"):
+        pairs = [(random_vec(rng, n, field), random_vec(rng, n, field))
+                 for n in list(range(2, 13)) + [128]]
+        f, g = random_vec(rng, 6, field), random_vec(rng, 6, field)
+        pairs.append((f * (np.arange(6) < 3), g * (np.arange(6) >= 3)))
+        f, g = random_vec(rng, 5, field), random_vec(rng, 5, field)
+        f[2] = g[2] = 0.0
+        pairs.append((f, g))
+        f, g = random_vec(rng, 6, field), random_vec(rng, 6, field)
+        f[1], g[1] = 2.0 * f[0], 2.0 * g[0]
+        f[4], g[4] = -1.5 * f[3], -1.5 * g[3]
+        pairs.append((f, g))
+        for eps in (1e-3, 1e-8):
+            on = rng.random(7) < 0.5
+            f, g = random_vec(rng, 7, field), random_vec(rng, 7, field)
+            pairs.append((f * np.where(on, 1.0, eps), g * np.where(on, eps, 1.0)))
+        for k, (f, g) in enumerate(pairs):
+            w = rng.uniform(0.5, 2.0, len(f)) if k % 2 else None
+            panel.append((field, f, g, NormSpec(np.inf, weights=w)))
+    return panel
+
+
+def test_sup_norm_fit_is_exact(monkeypatch):
+    # every sup-norm fit converges by its tolerance, and its K is exact: no
+    # ratio ||x||_H / ||x|| of a 200,000-row sample of the coefficient
+    # sphere lies outside [1, K]
+    stops = []
+    contact = hilbert._sup_norm_contact
+
+    def record(Q, P, A):
+        out = contact(Q, P, A)
+        stops.append(out[2])
+        return out
+
+    monkeypatch.setattr(hilbert, "_sup_norm_contact", record)
+    rng = np.random.default_rng(2024)
+    z = rng.standard_normal((200_000, 4))
+    sample = {"real": z[:, :2], "complex": z[:, :2] + 1j * z[:, 2:]}
+    panel = _sup_norm_panel()
+    for field, f, g, norm in panel:
+        H = fit_hilbert_norm(f, g, norm, field=field)
+        B = np.stack([f, g], axis=1)
+        for C in np.array_split(sample[field], 8):
+            q = np.einsum("ij,jk,ik->i", np.conj(C), H.gram, C).real
+            ratio = np.sqrt(q) / norm.of_rows(C @ B.T)
+            assert ratio.min() >= 1.0 - 1e-12
+            assert ratio.max() <= H.distortion_K + 1e-12
+    assert len(stops) == len(panel) and all(stops)
 
 
 def test_coeffs_rejects_outside_span(rng):

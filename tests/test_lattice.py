@@ -192,6 +192,19 @@ def test_of_rows_of_huge_and_tiny_entries(p):
 
 
 @pytest.mark.parametrize("p", P_VALUES)
+def test_of_rows_past_the_float_range_is_inf(p):
+    # a row whose norm exceeds the float range is inf, as in __call__,
+    # without a RuntimeWarning (pytest makes one an error)
+    X = np.array([[1e308, 1e308], [1.0, 2.0]])
+    for w in (None, np.array([2.0, 0.5])):
+        norm = NormSpec(p, weights=w)
+        got = norm.of_rows(X)
+        assert got[1] == norm(X[1])
+        assert got[0] == norm(X[0])
+        assert np.isinf(got[0]) == (p == 1.0 or (p == np.inf and w is not None))
+
+
+@pytest.mark.parametrize("p", P_VALUES)
 def test_of_squared_rows_matches_of_rows(rng, p):
     X = random_vec(rng, 7 * 40, "complex").reshape(40, 7)
     X[3] = 0.0

@@ -143,6 +143,20 @@ def test_distance_of_huge_and_tiny_pairs(rng, p):
     assert got == pytest.approx(1e200, rel=1e-15)
 
 
+@pytest.mark.parametrize("p", [1.0, 3.0, np.inf])
+def test_distance_past_the_float_range(p):
+    # a distance that overflows at every angle is an InputError, not a
+    # RuntimeWarning; one that overflows only away from its minimum is
+    # measured there
+    norm = NormSpec(p)
+    with pytest.raises(InputError):
+        unimodular_distance([1.5e308 + 1.5e308j, 0], [0, 1j], norm)
+    got = unimodular_distance(np.array([1.2e308 + 0j, 1.0]),
+                              np.array([-1.2e308 + 0j, 1.0]), norm)
+    assert got.distance <= 1e-15 * 1.2e308 + 2.0
+    assert got.lambda_star == pytest.approx(-1.0, abs=1e-12)
+
+
 def _count_norm_calls(monkeypatch):
     # [norm calls, rows of the of_rows calls, rows of the of_squared_rows
     # calls]
