@@ -9,31 +9,35 @@ and implements the reduction (f, g) -> (f - R(f+g), g - R(f+g)) that makes
 the pair orthogonal in the fitted inner product without increasing the
 pointwise modulus gap.  A weighted 2-norm is already Hilbert and gets its
 exact form, Gram = B^H W B with K = 1.  Otherwise the fit computes the
-minimum-volume centered ellipsoid enclosing a dense sample of the span's
-unit sphere, tightens it with cutting planes until the whole sphere is
-certified inside, and rescales so the lower sandwich bound is met with
-equality at the worst point found.  Each ellipsoid is exact: its KKT
+minimum-volume centered ellipsoid enclosing the span's unit ball and
+rescales it so the lower sandwich bound is met with equality at the worst
+point found.  One exchange grows every ellipsoid: each round solves it on
+a few rows only, keeps its support, and adds the body's farthest point,
+until that point is enclosed to 3e-10.  Each solve is exact: the KKT
 conditions are solved over every support of at most 3 (real) or 4
-(complex) rows in one batch, and it encloses its rows to rounding.
+(complex) rows in one batch, so the ellipsoid encloses its rows to
+rounding.  A pair far from unit scale is fitted scaled by a power of two.
 
-Sup-norm fits are exact.  The unit ball {c : w_k |b_k . c| <= 1} is
-cut out by the basis rows, so a form's maximum on it lies at an extreme
-point where two rows are active; those candidates are enumerated over a
-small active row set grown by constraint generation.  The farthest
-point found joins the ellipsoid's support until the ellipsoid encloses
-the ball to 3e-10.  The ratio's minimum has a closed form,
+The exchange has two bodies.  At p = inf it is the unit ball itself,
+{c : w_k |b_k . c| <= 1}, cut out by the basis rows, so a form's maximum
+on it lies at an extreme point where two rows are active; those
+candidates are enumerated over a small active row set grown by
+constraint generation.  Sup-norm fits are therefore exact: the maximum
+ratio is the exchange's last value, and the minimum has the closed form
 1 / max_k w_k sqrt(b_k Q^-1 b_k^H).
 
-At p in {1, 3} the extrema of the ratio ||x||_H / ||x|| are located on a
-grid and polished.  One grid per field, which also supplies the
-enclosure's candidate rows, and the random sphere sample are fixed module
-constants, built once by mapping sphere parameters to coefficient rows in
-_sphere_points.  On the real circle each candidate gets a bounded Brent
-search.  On the complex sphere every polish of one stage (the grid starts
-of the scan and, while the support is refined, one start per support
-point) runs as a single lockstep Nelder-Mead batch that follows scipy's
-method step for step, so each simplex step costs one batched norm
-evaluation for all starts instead of one call per trial point.
+At p in {1, 3} the body is a fixed grid of the coefficient sphere,
+normalized in the lattice norm.  The support is then slid onto the true
+contact points, and the extrema of the ratio ||x||_H / ||x|| are located
+on the same grid and polished.  One grid per field and the random
+sphere sample are fixed module constants, built once by mapping sphere
+parameters to coefficient rows in _sphere_points.  On the real circle
+each candidate gets a bounded Brent search.  On the complex sphere every
+polish of one stage (the grid starts of the scan and, while the support
+is refined, one start per support point) runs as a single lockstep
+Nelder-Mead batch that follows scipy's method step for step, so each
+simplex step costs one batched norm evaluation for all starts instead of
+one call per trial point.
 """
 
 import functools
@@ -48,11 +52,14 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar  # noqa: F401
 
 from .lattice import (
+    InputError,
     NormSpec,
     PhaseLatError,
     as_vector,
     check_same_dim,
+    ldexp,
     require_independent,
+    unit_exponent,
 )
 
 __all__ = [
@@ -190,7 +197,11 @@ def _mvee_centered(C):
     rounding.  Returns Q, with ||c||_E^2 = c^H Q c, and the design weights
     u_S = lam / sum(lam), for which Q = M(u)^-1 / 2.  m rows cost
     C(m, 2) + ... + C(m, D) small solves, so callers keep m small.
+    Raises FitDistortionError for fewer than 2 rows, or when no support
+    gives a positive definite Q, as for rows parallel to rounding.
     """
+    if C.shape[0] < 2:
+        raise FitDistortionError("one row bounds no ellipsoid")
     D = 4 if np.iscomplexobj(C) else 3
     z = C[:, 0] * np.conj(C[:, 1])
     phi = np.column_stack([np.abs(C[:, 0]) ** 2, np.abs(C[:, 1]) ** 2,
@@ -218,12 +229,17 @@ def _mvee_centered(C):
         np.abs(lam).sum(axis=1), np.finfo(float).tiny))
     # NaN parameters fail both comparisons and drop out with the rest
     pd = (q[:, 0] > 0.0) & (q[:, 0] * q[:, 1] > np.sum(q[:, 2:] ** 2, axis=1))
-    s = int(np.argmin(np.where(pd, resid, np.inf)))
-    q = q[s] / np.max(vals[s])
-    off = complex(q[2], q[3]) if D == 4 else q[2]
-    Q = np.array([[q[0], off], [np.conj(off), q[1]]])
+    resid = np.where(pd, resid, np.inf)
+    s = int(np.argmin(resid))
+    top = np.max(vals[s])
     u = np.zeros(C.shape[0])
     u[idx[s, used[s]]] = np.maximum(lam[s, used[s]], 0.0)
+    if not (resid[s] < np.inf and top > 0.0 and u.sum() > 0.0):
+        # rows parallel to rounding bound no ellipsoid of finite distortion
+        raise FitDistortionError("no positive definite ellipsoid encloses the rows")
+    q = q[s] / top
+    off = complex(q[2], q[3]) if D == 4 else q[2]
+    Q = np.array([[q[0], off], [np.conj(off), q[1]]])
     return Q, u / u.sum()
 
 
@@ -464,24 +480,24 @@ def _scan_real(fn, sign, support=()):
     return (sign * best_v, best_c), polished
 
 
-def _support_exchange(rows, S):
-    """Grow a small support set until its ellipsoid encloses all rows.
+def _exchange(P, farthest):
+    """Grow a small support set until its ellipsoid encloses the whole body.
 
-    Classic exchange: solve the minimum-volume problem on rows[S] only,
-    keep its support, pull in the worst violator over the full grid.
-    Keeps the solve on a few rows no matter how dense the grid is.
-    Returns the last solve's Q and support rows, after at most 60 rounds.
+    Classic exchange: solve the minimum-volume problem on the rows P only,
+    keep its support, and append the body's farthest point, which
+    farthest(Q) returns as (c^H Q c, c), until that value is within 3e-10
+    of 1.  The solve stays on a few rows however the body is given.
+    Returns the last Q, its support rows, the last value, and whether the
+    loop ended by its tolerance rather than its 60-round cap.
     """
-    for _ in range(60):
-        Q, u = _mvee_centered(rows[S])
-        S = [s for s, w in zip(S, u) if w > 1e-12]
-        support = rows[S]
-        r = _quad_rows(Q, rows)
-        j = int(np.argmax(r))
-        if r[j] - 1.0 <= 3e-10:
-            break
-        S.append(j)
-    return Q, support
+    for rounds in range(60):
+        Q, u = _mvee_centered(P)
+        P = P[u > 1e-12]
+        val, c = farthest(Q)
+        converged = val - 1.0 <= 3e-10
+        if converged or rounds == 59:
+            return Q, P, val, converged
+        P = _merge_close(np.vstack([P, c]))
 
 
 def _merge_close(P, gap=1e-5):
@@ -581,14 +597,16 @@ def _vertex_max(AR, Q):
 
 
 def _sup_ball_max(A, Q, R):
-    """Maximum of c^H Q c over the sup-norm ball {c : |A c| <= 1}, exactly.
+    """Farthest point of the sup-norm ball {c : |A c| <= 1} in the form Q.
 
     Constraint generation: _vertex_max solves the ball of the rows R only,
     a superset of the true ball, and the row its best point violates most
-    joins R, until that point's full |A c| is at most 1 + 1e-12.  R is a
-    list of row indices, grown in place and kept by the caller.  Returns
-    the point c, whose largest |a . c| over R is 1, the value c^H Q c,
-    which bounds the maximum over the ball from above, and ||A c||_inf.
+    joins R, until that point's full |A c| is at most 1 + 1e-12 plus the
+    rounding bound 8 eps max(|A| |c|) of the products, or the worst row is
+    already in R.  R is a list of row indices, grown in place and kept by
+    the caller.  Returns the maximum of c^H Q c over R's ball, which bounds
+    the maximum over the ball from above, and the point scaled into the
+    ball by its ||A c||_inf.
     """
     for _ in range(A.shape[0] + 1):
         best = _vertex_max(A[R], Q)
@@ -600,63 +618,52 @@ def _sup_ball_max(A, Q, R):
         c, val = best
         dev = np.abs(A @ c)
         worst = int(np.argmax(dev))
-        if dev[worst] <= 1.0 + 1e-12:
-            return c, val, float(dev[worst])
+        top = float(dev[worst])
+        slack = 8.0 * np.finfo(float).eps * float(np.max(np.abs(A) @ np.abs(c)))
+        if top <= 1.0 + 1e-12 + slack or worst in R:
+            return val / min(top, 1.0) ** 2, c / top
         R.append(worst)
     raise CertificateError("sup-norm ball maximum did not settle on a row set")
-
-
-# the exact farthest point of the sup-norm ball joins the support until
-# the ellipsoid encloses it to _SUP_TOL, for at most _SUP_ROUNDS rounds
-_SUP_TOL = 3e-10
-_SUP_ROUNDS = 60
-
-
-def _sup_norm_contact(Q, P, A):
-    """Exchange on the exact farthest point of the sup-norm ball.
-
-    The ball on span{f, g} is {c : |A c| <= 1}, with the weighted rows
-    w_k b_k of the basis in A.  Each round takes the ball's exact
-    maximum of c^H Q c (_sup_ball_max); while it exceeds 1 + _SUP_TOL,
-    the point is put first among the support rows P, so no stale support
-    row within _merge_close's gap replaces it, and _mvee_centered solves
-    again.  The row set starts from the rows active at P.  Returns the
-    last Q, its exact maximum ratio ||x||_Q / ||x||, and whether the loop
-    ended by its tolerance rather than its round cap.
-    """
-    R = np.flatnonzero(np.any(np.abs(P @ A.T) >= 1.0 - 1e-9, axis=0)).tolist()
-    for rounds in range(_SUP_ROUNDS + 1):
-        c, val, top = _sup_ball_max(A, Q, R)
-        converged = val - 1.0 <= _SUP_TOL
-        if converged or rounds == _SUP_ROUNDS:
-            break
-        P = _merge_close(np.vstack([c / top, P]))
-        Q, w = _mvee_centered(P)
-        P = P[w > 1e-12]
-    return Q, math.sqrt(val) / min(top, 1.0), converged
 
 
 def _fit_ellipsoid(basis, norm, field):
     """Gram matrix and measured distortion of the rescaled enclosing ellipsoid.
 
-    The enclosure starts from a support exchange over the field's grid.
-    At p = inf its ratio's extrema are exact: the maximum from the ball's
-    extreme points (_sup_norm_contact), and the minimum
-    1 / max_k w_k sqrt(b_k Q^-1 b_k^H) in closed form.  At p in {1, 3}
-    the support is refined and both extrema are scanned.  The fixed
-    random sample measures every fit on top.
+    One exchange (_exchange) grows the enclosure from nine spread rows of
+    the field's grid, with one of two bodies.  At p = inf the body is the
+    exact unit ball, whose farthest point comes from its extreme points
+    (_sup_ball_max), so the ratio's maximum is exact, and its minimum is
+    1 / max_k w_k sqrt(b_k Q^-1 b_k^H) in closed form.  At p in {1, 3} the
+    body is the normalized grid; the support is then refined and both
+    extrema are scanned.  The fixed random sample measures every fit on
+    top.  A form whose distortion exceeds the limit, or whose minimum
+    ratio is not positive, raises FitDistortionError.
     """
-    rows = _FIT_GRID[field][1]
-    rows = rows / norm.of_rows(rows @ basis.T)[:, None]
-
-    S = list(dict.fromkeys(np.linspace(0, rows.shape[0] - 1, 9).astype(int).tolist()))
-    Q, support = _support_exchange(rows, S)
+    grid = _FIT_GRID[field][1]
+    S = list(dict.fromkeys(np.linspace(0, grid.shape[0] - 1, 9).astype(int).tolist()))
     if norm.p == math.inf:
         A = norm._weighted(basis.T).T
-        Q, hi, _ = _sup_norm_contact(Q, support, A)
+        P = grid[S] / norm.of_rows(grid[S] @ basis.T)[:, None]
+        # the ball's row set starts from the rows active at the starts
+        R = np.flatnonzero(np.any(np.abs(P @ A.T) >= 1.0 - 1e-9, axis=0)).tolist()
+        Q, _, val, _ = _exchange(P, lambda Q: _sup_ball_max(A, Q, R))
+        hi = math.sqrt(val)
         fn = _ratio_fn(basis, norm, Q)
-        lo = 1.0 / math.sqrt(float(np.max(_quad_rows(np.linalg.inv(Q), np.conj(A)))))
+        try:
+            Q_inv = np.linalg.inv(Q)
+        except np.linalg.LinAlgError:
+            raise FitDistortionError("fitted ellipsoid is singular") from None
+        top = float(np.max(_quad_rows(Q_inv, np.conj(A))))
+        lo = 1.0 / math.sqrt(top) if top > 0.0 else 0.0
     else:
+        rows = grid / norm.of_rows(grid @ basis.T)[:, None]
+
+        def farthest(Q):
+            r = _quad_rows(Q, rows)
+            j = int(np.argmax(r))
+            return r[j], rows[j]
+
+        Q, support, _, _ = _exchange(rows[S], farthest)
         # downstream certificates pay any off-grid excess one for one, so
         # the contact set is refined continuously; the measured K stays
         # honest even if the refinement exits on its round cap
@@ -669,7 +676,28 @@ def _fit_ellipsoid(basis, norm, field):
     sample_ratios = fn(_SAMPLE[field])
     lo = min(lo, float(sample_ratios.min()))
     hi = max(hi, float(sample_ratios.max()))
-    return Q / lo**2, hi / lo
+    distortion = hi / lo if lo > 0.0 else math.inf
+    if not distortion <= DISTORTION_LIMIT:
+        raise FitDistortionError(
+            f"fitted distortion {distortion:.6f} exceeds {DISTORTION_LIMIT:.6f}"
+        )
+    return Q / lo**2, distortion
+
+
+# a pair whose larger norm lies in [2^-64, 2^64] is fitted as given; the
+# ellipsoid's row features scale with the fourth power of the pair
+_FIT_RANGE = 2.0 ** 64
+
+
+def _fit_exponent(basis, norm):
+    """Exponent e such that 2^-e basis is fitted in range: 0 inside it."""
+    s = max(norm(basis[:, 0]), norm(basis[:, 1]))
+    if 1.0 / _FIT_RANGE <= s <= _FIT_RANGE:
+        return 0
+    # the largest entry first, so the norms of the scaled pair are finite
+    e = unit_exponent(basis)
+    scaled = ldexp(basis, -e)
+    return e + int(np.frexp(max(norm(scaled[:, 0]), norm(scaled[:, 1])))[1])
 
 
 def fit_hilbert_norm(f, g, norm, field="complex"):
@@ -679,28 +707,34 @@ def fit_hilbert_norm(f, g, norm, field="complex"):
     ||x|| <= ||x||_H <= distortion_K * ||x|| on the span, with
     distortion_K <= sqrt(2) up to solver tolerance; a weighted 2-norm gets
     its own Gram matrix B^H W B and distortion_K = 1, and at p = inf
-    distortion_K is exact up to rounding.  Raises DependentVectorsError
-    for (numerically) dependent inputs and FitDistortionError if the
-    measured distortion lands above the sqrt(2) + 0.05 threshold.
+    distortion_K is exact up to rounding.  A pair far from unit scale is
+    fitted scaled by a power of two, and its Gram matrix scaled back.
+    Raises DependentVectorsError for (numerically) dependent inputs,
+    FitDistortionError if the measured distortion lands above the
+    sqrt(2) + 0.05 threshold, and InputError if the Gram matrix is out of
+    the float range.
     """
     f = as_vector(f, field)
     g = as_vector(g, field)
     check_same_dim(f, g)
     basis = np.stack([f, g], axis=1)
+    e = _fit_exponent(basis, norm)
+    scaled = ldexp(basis, -e) if e else basis
     require_independent(
-        basis, DependentVectorsError("basis vectors are numerically dependent")
+        scaled, DependentVectorsError("basis vectors are numerically dependent")
     )
 
     if norm.p == 2.0:
         # the norm is Hilbert already: ||B c||^2 = c^H (B^H W B) c
-        gram, distortion = np.conj(basis.T) @ norm._weighted(basis.T).T, 1.0
+        gram, distortion = np.conj(scaled.T) @ norm._weighted(scaled.T).T, 1.0
     else:
-        gram, distortion = _fit_ellipsoid(basis, norm, field)
+        gram, distortion = _fit_ellipsoid(scaled, norm, field)
     gram = 0.5 * (gram + np.conj(gram.T))
-    if distortion > DISTORTION_LIMIT:
-        raise FitDistortionError(
-            f"fitted distortion {distortion:.6f} exceeds {DISTORTION_LIMIT:.6f}"
-        )
+    if e:
+        with np.errstate(over="ignore", under="ignore"):
+            gram = ldexp(gram, 2 * e)
+        if not (np.all(np.isfinite(gram)) and np.diag(gram).real.min() >= np.finfo(float).tiny):
+            raise InputError("the fitted Gram matrix is outside the float range")
     if field == "real":
         gram = gram.real
     return HilbertForm(

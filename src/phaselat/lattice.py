@@ -44,7 +44,7 @@ def as_vector(x, field="complex"):
     v = np.asarray(x, dtype=dtype)
     if v.ndim != 1 or v.size == 0:
         raise InputError(f"expected a nonempty 1-d vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v.view(np.float64))):
+    if not np.all(np.isfinite(v)):
         raise InputError("vector entries must be finite")
     return v
 
@@ -53,6 +53,25 @@ def check_same_dim(*vecs):
     dims = {np.shape(v)[0] for v in vecs}
     if len(dims) != 1:
         raise InputError(f"dimension mismatch: {sorted(dims)}")
+
+
+def unit_exponent(x):
+    """Exponent e that puts the largest real or imaginary part of 2^-e x in
+    [1/2, 1); 0 for a zero array."""
+    x = np.asarray(x)
+    top = max(np.max(np.abs(x.real), initial=0.0), np.max(np.abs(x.imag), initial=0.0))
+    return int(np.frexp(top)[1])
+
+
+def ldexp(x, e):
+    """x * 2^e for a real or complex array, exact while the result is normal."""
+    x = np.asarray(x)
+    if not np.iscomplexobj(x):
+        return np.ldexp(x, e)
+    out = np.empty(x.shape, dtype=np.complex128)
+    out.real = np.ldexp(x.real, e)
+    out.imag = np.ldexp(x.imag, e)
+    return out
 
 
 def require_independent(mat, err):

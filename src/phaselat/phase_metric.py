@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .lattice import InputError, as_vector, check_same_dim, modulus, perp_profile
+from .lattice import (InputError, as_vector, check_same_dim, ldexp, modulus,
+                      perp_profile, unit_exponent)
 
 __all__ = ["PhaseAlignment", "RatioReport", "PairWitness",
            "unimodular_distance", "spr_ratio"]
@@ -63,9 +64,19 @@ class RatioReport:
     lambda_star: complex
 
 
-def _euclidean_inner(f, g, norm):
+def _euclidean_phase(f, g, norm):
+    # the phase of <f, g> = sum_i w_i f_i conj(g_i), 1 when it vanishes; a
+    # sum that overflowed, or is small enough to have lost products to
+    # underflow, is recomputed on f and g scaled by powers of two, which
+    # keeps the phase
     w = norm.weights if norm.weights is not None else 1.0
-    return complex(np.sum(w * f * np.conj(g)))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        ip = complex(np.sum(w * f * np.conj(g)))
+    if not 1e-250 < abs(ip) < np.inf:
+        f, g = ldexp(f, -unit_exponent(f)), ldexp(g, -unit_exponent(g))
+        ip = complex(np.sum(w * f * np.conj(g)))
+    mag = abs(ip)
+    return ip / mag if mag > 0 else 1.0 + 0.0j
 
 
 def unimodular_distance(f, g, norm, *, field="complex"):
@@ -97,9 +108,7 @@ def unimodular_distance(f, g, norm, *, field="complex"):
         # lambda* = phase of <f, g>; evaluating norm(f - lambda* g) by
         # subtraction avoids the cancellation in the norm identity
         # ||f||^2 + ||g||^2 - 2|<f, g>| near colinear pairs
-        ip = _euclidean_inner(f, g, norm)
-        mag = abs(ip)
-        lam = ip / mag if mag > 0 else 1.0 + 0.0j
+        lam = _euclidean_phase(f, g, norm)
         return PhaseAlignment(distance=float(norm(f - lam * g)),
                               lambda_star=complex(lam))
     return _grid_distance(f, g, norm)
@@ -208,15 +217,16 @@ def _zoom(f, g, norm, t, d, h):
 def spr_ratio(f, g, norm, *, field="complex"):
     """Stability ratio min_lambda norm(f - lambda g) / norm(|f| - |g|).
 
-    Near-zero numerator and denominator are resolved against an absolute
-    tolerance scaled by the pair, so exactly equal moduli report "infinite"
-    and unimodular multiples report "degenerate" instead of noise ratios.
+    Near-zero numerator and denominator are resolved against a tolerance
+    relative to the pair's larger norm, so exactly equal moduli report
+    "infinite" and unimodular multiples report "degenerate" instead of
+    noise ratios, at any scale.
     """
     f, g = np.asarray(f), np.asarray(g)
     align = unimodular_distance(f, g, norm, field=field)
     num = align.distance
     den = norm(modulus(f) - modulus(g))
-    atol = RATIO_ATOL_SCALE * max(norm(f), norm(g), 1.0)
+    atol = RATIO_ATOL_SCALE * max(norm(f), norm(g))
     if den <= atol:
         if num <= atol:
             return RatioReport(num, den, np.nan, "degenerate", align.lambda_star)

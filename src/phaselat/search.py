@@ -57,7 +57,7 @@ _BLOCK_CELLS = 1 << 20
 
 
 class InfeasibleError(PhaseLatError):
-    """No pair satisfying the separation constraint was found."""
+    """No pair satisfying the search's constraints was found."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,8 +139,9 @@ def _normalize_joint(X, da):
     # rescale whole rows only: the relative scale of the two halves is a
     # genuine degree of freedom for the ratio objective
     X = np.array(X, dtype=float)
+    # a zero row has no direction; any other row, at any scale, has one
     n = np.linalg.norm(X, axis=1)
-    keep = n > 1e-30
+    keep = n > 0.0
     X = X[keep]
     X /= n[keep, None] / math.sqrt(2.0)
     return X, keep
@@ -220,7 +221,8 @@ def _normalized_pairs(E, X):
     norm = E.ambient.norm
     nu = norm.of_rows(U)
     nv = norm.of_rows(V)
-    ok = (nu > 1e-30) & (nv > 1e-30)
+    floor = 1e-30 * np.max(np.abs(E.basis))
+    ok = (nu > floor) & (nv > floor)
     return U[ok] / nu[ok, None], V[ok] / nv[ok, None], ok
 
 
@@ -251,9 +253,7 @@ def _ratio_objective(E):
         U, V = _pairs_from_params(E, X)
         num = _sep_rows_coarse(U, V, norm, field)
         den = norm.of_rows(np.abs(np.abs(U) - np.abs(V)))
-        scale = RATIO_ATOL_SCALE * np.maximum(
-            np.maximum(norm.of_rows(U), norm.of_rows(V)), 1.0
-        )
+        scale = RATIO_ATOL_SCALE * np.maximum(norm.of_rows(U), norm.of_rows(V))
         out = np.full(U.shape[0], np.nan)
         live = den > scale
         out[live] = -num[live] / den[live]
@@ -418,6 +418,8 @@ def search_almost_disjoint(E, budget=None, seed=0):
     for x, fx, _ in _restart_blocks(E, _random_params(rng, E, budget.restarts), search):
         if fx < best_v:
             best_v, best_x = fx, x
+    if best_x is None:
+        raise InfeasibleError("no restart reached a finite disjointness")
     U, V, _ = _normalized_pairs(E, best_x[None, :])
     return PairWitness.from_vectors(U[0], V[0], E.ambient.norm, E.ambient.field)
 

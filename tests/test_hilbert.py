@@ -1,5 +1,7 @@
 """Hilbert norm fitting, alignment, and orthogonal reduction."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -7,7 +9,9 @@ from scipy.optimize import minimize
 from phaselat import (
     DependentVectorsError,
     FitDistortionError,
+    InputError,
     NormSpec,
+    PhaseLatError,
     PreconditionError,
     SpanError,
     align_pair,
@@ -18,6 +22,7 @@ from phaselat import (
     unimodular_distance,
 )
 from phaselat import hilbert
+from phaselat.lattice import ldexp
 from phaselat.hilbert import _nelder_mead_rows, _ratio_fn, _sphere_points
 from conftest import random_vec
 
@@ -351,9 +356,9 @@ def test_fit_rejects_dependent_vectors(rng):
 def test_fit_rejects_distortion_above_limit(rng, monkeypatch, field):
     # a badly shaped ellipsoid is measured and refused, not reported, on
     # both paths of the fit: at p = 3 the support refinement hands it back
-    # and the final scans measure it; at p = inf the exact contact loop is
-    # handed one that encloses the unit ball, stops at once, and the
-    # closed-form minimum measures it
+    # and the final scans measure it; at p = inf the exchange is handed one
+    # that encloses the unit ball, stops at once, and the closed-form
+    # minimum measures it
     f = random_vec(rng, 4, field)
     g = random_vec(rng, 4, field)
     with monkeypatch.context() as mp:
@@ -362,21 +367,22 @@ def test_fit_rejects_distortion_above_limit(rng, monkeypatch, field):
         with pytest.raises(FitDistortionError):
             fit_hilbert_norm(f, g, NormSpec(3.0), field=field)
 
+    # every solve hands the exchange the bad ellipsoid, which encloses the
+    # sup-norm ball, so the loop stops at once by its tolerance and returns it
     bad = 1e-8 * np.diag([1.0, 1e-8])
-    exchange, contact = hilbert._support_exchange, hilbert._sup_norm_contact
+    exchange, solve = hilbert._exchange, hilbert._mvee_centered
     returned = []
 
-    def record(Q, P, A):
-        out = contact(Q, P, A)
-        returned.append(out[0])
+    def record(P, farthest):
+        out = exchange(P, farthest)
+        returned.append(out)
         return out
 
-    monkeypatch.setattr(hilbert, "_support_exchange",
-                        lambda rows, S: (bad, exchange(rows, S)[1]))
-    monkeypatch.setattr(hilbert, "_sup_norm_contact", record)
+    monkeypatch.setattr(hilbert, "_mvee_centered", lambda C: (bad, solve(C)[1]))
+    monkeypatch.setattr(hilbert, "_exchange", record)
     with pytest.raises(FitDistortionError):
         fit_hilbert_norm(f, g, NormSpec(np.inf), field=field)
-    assert len(returned) == 1 and returned[0] is bad
+    assert len(returned) == 1 and returned[0][0] is bad and returned[0][3]
 
 
 def _sup_norm_panel():
@@ -413,14 +419,14 @@ def test_sup_norm_fit_is_exact(monkeypatch):
     # ratio ||x||_H / ||x|| of a 200,000-row sample of the coefficient
     # sphere lies outside [1, K]
     stops = []
-    contact = hilbert._sup_norm_contact
+    exchange = hilbert._exchange
 
-    def record(Q, P, A):
-        out = contact(Q, P, A)
-        stops.append(out[2])
+    def record(P, farthest):
+        out = exchange(P, farthest)
+        stops.append(out[3])
         return out
 
-    monkeypatch.setattr(hilbert, "_sup_norm_contact", record)
+    monkeypatch.setattr(hilbert, "_exchange", record)
     rng = np.random.default_rng(2024)
     z = rng.standard_normal((200_000, 4))
     sample = {"real": z[:, :2], "complex": z[:, :2] + 1j * z[:, 2:]}
@@ -434,6 +440,134 @@ def test_sup_norm_fit_is_exact(monkeypatch):
             assert ratio.min() >= 1.0 - 1e-12
             assert ratio.max() <= H.distortion_K + 1e-12
     assert len(stops) == len(panel) and all(stops)
+
+
+def _frozen_fit_panel():
+    # seeded p in {1, 3} fits: both fields, n from 2 to 6, odd n weighted
+    rng = np.random.default_rng(1313)
+    for field in ("real", "complex"):
+        for p in (1.0, 3.0):
+            for n in range(2, 7):
+                f, g = random_vec(rng, n, field), random_vec(rng, n, field)
+                w = rng.uniform(0.5, 2.0, n) if n % 2 else None
+                yield f, g, NormSpec(p, weights=w), field
+
+
+def test_fit_outputs_are_frozen():
+    # a SHA-256 digest of every Gram matrix and K of the panel; the grid
+    # exchange, the support refinement and the scans must reproduce them
+    # bit for bit
+    h = hashlib.sha256()
+    for f, g, norm, field in _frozen_fit_panel():
+        H = fit_hilbert_norm(f, g, norm, field=field)
+        h.update(np.ascontiguousarray(H.gram).tobytes())
+        h.update(np.float64(H.distortion_K).tobytes())
+    assert h.hexdigest() == (
+        "10c3eaa189c072fc9824a9bbe6d384d31ff7bbdc68872131d3577c75381235fd")
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_sup_norm_fit_measures_only_its_starts_and_the_sample(monkeypatch, field):
+    # the exact exchange starts from nine grid rows; only those and the
+    # 2048-row distortion sample are ever measured in the lattice norm
+    rows = []
+    of_rows = NormSpec.of_rows
+
+    def count(self, X):
+        rows.append(np.shape(X)[0])
+        return of_rows(self, X)
+
+    monkeypatch.setattr(NormSpec, "of_rows", count)
+    rng = np.random.default_rng(51)
+    for n, w in ((3, None), (7, rng.uniform(0.5, 2.0, 7)), (128, None)):
+        rows.clear()
+        f, g = random_vec(rng, n, field), random_vec(rng, n, field)
+        fit_hilbert_norm(f, g, NormSpec(np.inf, weights=w), field=field)
+        assert sum(rows) <= 9 + 2048
+
+
+def _conditioned_pair(rng, n, field, cond):
+    # f, g: the columns of U diag(1, 1/cond) V^H, for random U (n x 2)
+    # with orthonormal columns and a random unitary V
+    U = np.linalg.qr(np.stack([random_vec(rng, n, field) for _ in range(2)], axis=1))[0]
+    V = np.linalg.qr(np.stack([random_vec(rng, 2, field) for _ in range(2)], axis=1))[0]
+    B = U @ np.diag([1.0, 1.0 / cond]) @ np.conj(V.T)
+    return B[:, 0], B[:, 1]
+
+
+def _ill_conditioned_panel():
+    rng = np.random.default_rng(909)
+    for field in ("real", "complex"):
+        for n in (2, 5, 64, 2048):
+            # p in {1, 3} fits scan whole grids of n-entry rows, which
+            # costs seconds at n = 2048
+            ps = (1.0, 3.0, np.inf) if n in (2, 64) else (np.inf,)
+            for cond in (1e3, 1e5, 1e7, 1e9):
+                f, g = _conditioned_pair(rng, n, field, cond)
+                for p in ps:
+                    yield f, g, NormSpec(p), field
+    # seeded pairs at cond 1e9 that reach each degenerate branch of a
+    # sup-norm fit: a support of one row, no positive definite support,
+    # and a closed-form minimum of 0
+    for seed in (3, 10, 16):
+        rng = np.random.default_rng(seed)
+        for field in ("real", "complex"):
+            for n in (2, 5, 64):
+                f, g = _conditioned_pair(rng, n, field, 1e9)
+                yield f, g, NormSpec(np.inf), field
+
+
+def test_ill_conditioned_fits_return_or_raise_typed_errors():
+    # every fit over condition numbers up to 1e9, which the independence
+    # check accepts, either meets the distortion limit or raises a
+    # PhaseLatError; pytest turns any RuntimeWarning into a failure
+    outcomes = []
+    for f, g, norm, field in _ill_conditioned_panel():
+        try:
+            H = fit_hilbert_norm(f, g, norm, field=field)
+        except PhaseLatError:
+            outcomes.append(False)
+            continue
+        assert H.distortion_K <= hilbert.DISTORTION_LIMIT
+        outcomes.append(True)
+    assert sum(outcomes) > len(outcomes) // 2
+
+
+def test_sup_norm_fits_of_near_dependent_pairs():
+    # g = f + eps h: the products a . c of the first pair's sup-norm ball
+    # carry cancellation error above 1e-12, and at n = 2048 the ball's row
+    # set must stay small; both fits settle and meet sqrt(2)
+    H = fit_hilbert_norm([1, 1 + 1e-5, 0.5], [1, 1 - 1e-5, 0.5 + 1e-5],
+                         NormSpec(np.inf), field="real")
+    assert H.distortion_K <= SQRT2 + 1e-12
+    rng = np.random.default_rng(0)
+    f, h = random_vec(rng, 2048, "complex"), random_vec(rng, 2048, "complex")
+    H = fit_hilbert_norm(f, f + 1e-7 * h, NormSpec(np.inf))
+    assert H.distortion_K <= SQRT2 + 1e-12
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_fits_far_from_unit_scale(p, field):
+    # pairs scaled by 2^+-300 are fitted on the same power-of-two scaled
+    # pair, so K agrees bitwise and the Gram matrices by the square of
+    # the scale; 1e+-100 needs no warning and keeps K close
+    rng = np.random.default_rng(77)
+    f, g = random_vec(rng, 5, field), random_vec(rng, 5, field)
+    norm = NormSpec(p)
+    H = fit_hilbert_norm(f, g, norm, field=field)
+    big = fit_hilbert_norm(2.0**300 * f, 2.0**300 * g, norm, field=field)
+    small = fit_hilbert_norm(2.0**-300 * f, 2.0**-300 * g, norm, field=field)
+    assert big.distortion_K == small.distortion_K
+    np.testing.assert_array_equal(ldexp(big.gram, -600), ldexp(small.gram, 600))
+    for s in (1e100, 1e-100):
+        Hs = fit_hilbert_norm(s * f, s * g, norm, field=field)
+        assert Hs.distortion_K == pytest.approx(H.distortion_K, rel=1e-6)
+        np.testing.assert_allclose(Hs.gram / (s * s), H.gram, rtol=1e-5)
+        assert Hs.norm_h(s * f) == pytest.approx(s * H.norm_h(f), rel=1e-5)
+    # the Gram matrix of a pair at 1e-170 is below the float range
+    with pytest.raises(InputError):
+        fit_hilbert_norm(1e-170 * f, 1e-170 * g, norm, field=field)
 
 
 def test_coeffs_rejects_outside_span(rng):

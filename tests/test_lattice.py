@@ -246,6 +246,12 @@ def test_as_vector_validation():
         as_vector([1.0 + 1j], field="real")
     v = as_vector([1, 2], field="real")
     assert v.dtype == np.float64
+    # a strided complex column is checked like any other vector
+    B = np.array([[1.0 + 1j, 2.0], [3.0, np.inf * 1j]])
+    np.testing.assert_array_equal(as_vector(B[0, :]), B[0, :])
+    np.testing.assert_array_equal(as_vector(B[:, 0]), B[:, 0])
+    with pytest.raises(InputError):
+        as_vector(B[:, 1])
 
 
 def test_check_same_dim():

@@ -274,6 +274,45 @@ def test_equal_modulus_pair_flags_infinite():
     assert rep.denominator <= 1e-15
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_ratio_does_not_depend_on_scale(rng, field, p):
+    # the ratio and its flags are homogeneous of degree 0: pairs scaled by
+    # 2^+-120 agree with the unscaled ones, also near the tolerances
+    norm = NormSpec(p)
+    lam = 1.0 if field == "real" else np.exp(0.7j)
+    for _ in range(4):
+        n = int(rng.integers(2, 7))
+        f, g = random_vec(rng, n, field), random_vec(rng, n, field)
+        h = np.abs(f) * np.exp(1j * rng.uniform(0, 2 * np.pi, n)) if field == "complex" else -f
+        for u, v in ((f, g), (f, lam * f), (f, h)):
+            ref = spr_ratio(u, v, norm, field=field)
+            for s in (2.0**120, 2.0**-120):
+                got = spr_ratio(s * u, s * v, norm, field=field)
+                assert got.flag == ref.flag
+                if ref.flag is None:
+                    assert got.ratio == pytest.approx(ref.ratio, rel=1e-12)
+    f, g = np.array([1.0, 2.0, 0.5]), np.array([0.3, -1.0, 2.0])
+    ref = spr_ratio(f, g, NormSpec(3.0), field="real")
+    for s in (1e-8, 1e-10, 1e-30):
+        got = spr_ratio(s * f, s * g, NormSpec(3.0), field="real")
+        assert got.flag is None
+        assert got.ratio == pytest.approx(ref.ratio, rel=1e-12)
+
+
+def test_euclidean_distance_of_huge_and_tiny_pairs(rng):
+    # the closed form's phase comes from the pair scaled by powers of two,
+    # so <f, g> cannot overflow; weighted and unweighted, complex
+    for w in (None, rng.uniform(0.5, 2.0, 5)):
+        norm = NormSpec(2.0, weights=w)
+        f, g = random_vec(rng, 5, "complex"), random_vec(rng, 5, "complex")
+        ref = unimodular_distance(f, g, norm)
+        for s in (1e160, 2.0**-120, 2.0**120):
+            got = unimodular_distance(s * f, s * g, norm)
+            assert got.distance == pytest.approx(s * ref.distance, rel=1e-12)
+            assert got.lambda_star == pytest.approx(ref.lambda_star, abs=1e-15)
+
+
 def test_ratio_report_reproducible(rng):
     norm = NormSpec(3.0)
     f = random_vec(rng, 5, "complex")

@@ -423,6 +423,36 @@ def test_check_pr_frozen_on_c4():
         0.2: "0.20764119068495604"}
 
 
+@pytest.mark.parametrize("name", ["real-3.0", "complex-1.0", "complex-inf", "full-complex"])
+def test_searches_do_not_depend_on_scale(name):
+    # a basis scaled by 2^+-120 finds the same constant, disjointness and
+    # perpendicularity to 1e-12; one scaled by 1e+-35 once tripped the
+    # absolute 1e-30 guards and now runs and agrees to rounding of its path
+    E = _frozen_subspace(name)
+    budget = SearchBudget(4, 60, 2)
+
+    def measures(E):
+        est = estimate_spr_constant(E, budget, seed=3)
+        adp = search_almost_disjoint(E, budget, seed=3)
+        per = search_perp_pair(E, 0.1, budget, seed=3)
+        return [est.c_lower, adp.disjointness, per.perp]
+
+    ref = measures(E)
+    for s in (2.0**120, 2.0**-120):
+        assert measures(Subspace(E.ambient, s * E.basis)) == pytest.approx(ref, rel=1e-12)
+    for s in (1e35, 1e-35):
+        assert measures(Subspace(E.ambient, s * E.basis)) == pytest.approx(
+            ref, rel=1e-6, abs=1e-9)
+
+
+def test_search_without_a_finite_restart_raises(monkeypatch):
+    E = _frozen_subspace("real-1.0")
+    monkeypatch.setattr(S, "_disjoint_objective",
+                        lambda E: lambda X: np.full(X.shape[0], np.nan))
+    with pytest.raises(InfeasibleError):
+        search_almost_disjoint(E, SearchBudget(2, 5, 1), seed=0)
+
+
 @pytest.mark.parametrize("name", ["real-1.0", "complex-inf"])
 def test_restart_blocks_keep_results_and_bound_calls(name, monkeypatch):
     E = _frozen_subspace(name)
