@@ -27,17 +27,16 @@ ratio is the exchange's last value, and the minimum has the closed form
 1 / max_k w_k sqrt(b_k Q^-1 b_k^H).
 
 At p in {1, 3} the body is a fixed grid of the coefficient sphere,
-normalized in the lattice norm.  The support is then slid onto the true
-contact points, and the extrema of the ratio ||x||_H / ||x|| are located
-on the same grid and polished.  One grid per field and the random
-sphere sample are fixed module constants, built once by mapping sphere
-parameters to coefficient rows in _sphere_points.  On the real circle
-each candidate gets a bounded Brent search.  On the complex sphere every
-polish of one stage (the grid starts of the scan and, while the support
-is refined, one start per support point) runs as a single lockstep
-Nelder-Mead batch that follows scipy's method step for step, so each
-simplex step costs one batched norm evaluation for all starts instead of
-one call per trial point.
+normalized in the lattice norm once per fit, in blocks of at most 2^20
+entries.  The support is then slid onto the true contact points, and the
+extrema of the ratio ||x||_H / ||x|| are located on the same grid and
+polished.  One grid per field and the random sphere sample are fixed
+module constants.  On the real circle each candidate gets a bounded
+Brent search.  On the complex sphere every polish of one scan (its grid
+starts and, while the support is refined, one start per support point)
+runs as one batch of _polish_complex: Newton steps from central
+differences in a pole-free chart, kept inside flat curved valleys, with
+a poll that finishes at the cone tips of p = 1 norms.
 """
 
 import functools
@@ -243,65 +242,52 @@ def _mvee_centered(C):
     return Q, u / u.sum()
 
 
+# a lattice-norm evaluation holds at most this many entries per block
+_BLOCK = 2 ** 20
+
+
+def _ratio(Q, rows, lat):
+    # ||c||_Q / ||B c|| on coefficient rows whose lattice norms are lat
+    return np.sqrt(np.maximum(_quad_rows(Q, rows), 0.0)) / lat
+
+
+def _lattice_norms(rows, basis, norm):
+    # norm.of_rows(rows @ basis.T), evaluated in blocks of rows
+    step = max(1, _BLOCK // basis.shape[0])
+    if len(rows) <= step:
+        return norm.of_rows(rows @ basis.T)
+    return np.concatenate([norm.of_rows(rows[i:i + step] @ basis.T)
+                           for i in range(0, len(rows), step)])
+
+
 def _ratio_fn(basis, norm, Q):
-    def fn(rows):
-        q = np.sqrt(np.maximum(_quad_rows(Q, rows), 0.0))
-        lat = norm.of_rows(rows @ basis.T)
-        return q / lat
-
-    return fn
+    return lambda rows: _ratio(Q, rows, _lattice_norms(rows, basis, norm))
 
 
-def _spread_starts(order, shape, count, min_gap):
-    picked = []
-    for flat in order:
-        ij = np.unravel_index(int(flat), shape)
-        ok = True
-        for pj in picked:
-            gap = max(abs(ij[0] - pj[0]),
-                      min(abs(ij[1] - pj[1]), shape[1] - abs(ij[1] - pj[1])))
-            if gap < min_gap:
-                ok = False
-                break
-        if ok:
-            picked.append(ij)
-            if len(picked) == count:
-                break
+def _spread_starts(order, rows, count, min_cos):
+    # greedily the first count rows in order whose overlap |<c, c'>| with
+    # every row picked before is below min_cos: the grid repeats each pole
+    # n_phi times, and those copies count once
+    picked, rest = [], np.asarray(order)
+    while rest.size and len(picked) < count:
+        picked.append(int(rest[0]))
+        rest = rest[np.abs(rows[rest] @ np.conj(rows[rest[0]])) < min_cos]
     return picked
 
 
-def _sphere_points(X, field):
-    # sphere parameters to coefficient rows: t -> (cos t, sin t) on the
-    # real circle, (s, phi) -> (cos s, sin s e^{i phi}) on the complex sphere
-    if field == "real":
-        return np.stack([np.cos(X[:, 0]), np.sin(X[:, 0])], axis=1)
-    return np.stack(
-        [np.cos(X[:, 0]).astype(complex), np.sin(X[:, 0]) * np.exp(1j * X[:, 1])],
-        axis=1,
-    )
-
-
-def _sphere_param(c, field):
-    # inverse of _sphere_points, up to a global phase on the complex sphere
-    if field == "real":
-        return np.array([math.atan2(float(c[1]), float(c[0]))])
-    a = abs(c[0])
-    s = math.atan2(abs(c[1]), a)
-    if a <= 1e-300:
-        return np.array([s, float(np.angle(c[1]))])
-    return np.array([s, float(np.angle(c[1] * np.conj(c[0])))])
-
-
 def _sphere_grid(field, n, n_phi=None):
-    # read-only parameters and rows of a fixed grid: n angles t in [0, pi),
-    # or n latitudes s in [0, pi/2] by n_phi phases phi in [0, 2 pi)
+    # read-only parameters and rows of a fixed grid: n angles t in [0, pi)
+    # to rows (cos t, sin t), or n latitudes s in [0, pi/2] by n_phi phases
+    # phi in [0, 2 pi) to rows (cos s, sin s e^{i phi})
     if field == "real":
         X = np.linspace(0.0, np.pi, n, endpoint=False)[:, None]
+        rows = np.stack([np.cos(X[:, 0]), np.sin(X[:, 0])], axis=1)
     else:
         s = np.linspace(0.0, np.pi / 2, n)
         phi = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
         X = np.stack([np.repeat(s, n_phi), np.tile(phi, n)], axis=1)
-    rows = _sphere_points(X, field)
+        rows = np.stack([np.cos(X[:, 0]).astype(complex),
+                         np.sin(X[:, 0]) * np.exp(1j * X[:, 1])], axis=1)
     X.flags.writeable = rows.flags.writeable = False
     return X, rows
 
@@ -329,113 +315,117 @@ _FIT_GRID = {"real": _sphere_grid("real", 4096),
 _SAMPLE = {field: _sphere_rows(field, 2048, 182818284) for field in ("real", "complex")}
 
 
-def _nelder_mead_rows(fn, field, X0, sign, h, xatol, fatol, maxiter):
-    """Minimize sign * fn over sphere parameters from every row of X0 at once.
+# the complex polish's stencil +-1, +-i, +-(1 + i) in its principal frame,
+# the fractions of the model step it scores, and their offsets across
+_STENCIL = np.array([1.0, -1.0, 1j, -1j, 1.0 + 1j, -1.0 - 1j])
+_STEP = np.array([1.0, 0.5, 0.25])
+_ACROSS = np.array([0.0, 1.0, -1.0])
+_STENCIL.flags.writeable = _STEP.flags.writeable = _ACROSS.flags.writeable = False
 
-    Each start follows scipy's Nelder-Mead step for step: reflection 1,
-    expansion 2, contractions 1/2, shrink 1/2, the initial simplex x0 and
-    x0 + h e_k, scipy's xatol / fatol stopping test and its iteration cap.
-    sign, h, xatol, fatol and maxiter are scalars or one value per start.
-    All live starts advance together: one fn call per step scores the
-    reflection, the expansion and both contractions of every live start,
-    and a second call runs only for the starts that shrink.  Returns the
-    best parameters per start and their values of sign * fn.
+
+def _chart_points(C, Z):
+    # rows c + z t of the chart around each unit row c of C, where
+    # t = (-conj c1, conj c0) is orthogonal to c: the chart has no pole
+    T = np.stack([-np.conj(C[:, 1]), np.conj(C[:, 0])], axis=1)
+    return C[:, None, :] + Z[..., None] * T[:, None, :]
+
+
+def _polish_complex(fn, sign, C, d):
+    """Minimize sign * fn on the complex sphere from every unit row of C at once.
+
+    Each start moves in the chart around its point, turned onto its last
+    principal axes, at scale d.  One batched fn call scores the
+    central-difference stencil at clip(d, 1e-5, 1e-4) and polls of its
+    directions at min(d, 1e-4) and a tenth of that.  On each principal
+    axis the model step is Newton's where the curvature is positive, else
+    4d downhill, capped at 4 max(d, 1e-3).  A second call scores 1, 1/2
+    and 1/4 of it with their neighbours across, along the steeper axis,
+    and a third, if it promises a gain, the bottoms of those parabolas,
+    which keep a step inside a flat curved valley (the contact circle of
+    a span with a circle of symmetry).  The best point is taken if lower.
+    d follows a move that gains over 1e-13 relative, else drops to a
+    tenth of min(d, step), so a converged start stops at once and the
+    polls close in on cone tips of p = 1 norms.  A start stops at
+    d < 1e-10 or 100 iterations.  Returns rows, values, iterations.
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    # trial points as a xbar + b worst: reflection, expansion, outside and
-    # inside contraction, with scipy's coefficients (negating b is exact)
-    ta = np.array([1 + rho, 1 + rho * chi, 1 + psi * rho, 1 - psi])[:, None]
-    tb = np.array([-rho, -rho * chi, -psi * rho, psi])[:, None]
-    X0 = np.asarray(X0, dtype=float)
-    B, N = X0.shape
-    sign, xatol, fatol, maxiter = (
-        np.broadcast_to(np.asarray(a, dtype=float), (B,))
-        for a in (sign, xatol, fatol, maxiter)
-    )
-    h = np.broadcast_to(np.asarray(h, dtype=float), (B,))
+    C = C / np.linalg.norm(C, axis=1)[:, None]
+    F = sign * fn(C)
+    d = np.array(np.broadcast_to(d, F.shape), dtype=float)
+    axis, iters = np.ones(F.shape, dtype=complex), np.zeros(F.shape, dtype=int)
+    live = np.arange(F.size)
 
-    def score(S, sg):
-        # (m, k, N) parameter points -> (m, k) values of sign * fn
-        m, k = S.shape[:2]
-        vals = fn(_sphere_points(S.reshape(m * k, N), field)).reshape(m, k)
-        return sg[:, None] * vals
+    def score(c, Z):
+        rows = _chart_points(c, Z.reshape(len(c), -1)).reshape(-1, 2)
+        return sign * fn(rows).reshape(Z.shape)
 
-    def sort(S, F):
-        order = np.argsort(F, axis=1)
-        at = np.arange(S.shape[0])[:, None]
-        return S[at, order], F[at, order]
-
-    S = X0[:, None, :] + h[:, None, None] * np.vstack([np.zeros(N), np.eye(N)])
-    S, F = sort(S, score(S, sign))
-    best_x = np.empty((B, N))
-    best_f = np.empty(B)
-    live = np.arange(B)
-    # every live start has taken the same number of steps
-    iters = 1
-    while True:
-        done = (iters >= maxiter) | (
-            (np.max(np.abs(S[:, 1:] - S[:, :1]), axis=(1, 2)) <= xatol)
-            & (np.max(np.abs(F[:, :1] - F[:, 1:]), axis=1) <= fatol)
-        )
-        if done.any():
-            best_x[live[done]] = S[done, 0]
-            best_f[live[done]] = F[done, 0]
-            keep = ~done
-            live, S, F = live[keep], S[keep], F[keep]
-            sign, xatol, fatol, maxiter = sign[keep], xatol[keep], fatol[keep], maxiter[keep]
-            if live.size == 0:
-                return best_x, best_f
-        xbar = np.add.reduce(S[:, :-1], 1) / N
-        worst = S[:, -1]
-        trial = ta * xbar[:, None, :] + tb * worst[:, None, :]
-        ft = score(trial, sign)
-        fr, fe, fc, fcc = ft.T
-        # scipy's branch tree; each else is "comparison false", so NaN
-        # values route exactly as they do there
-        pick = np.where(
-            fr < F[:, 0],
-            np.where(fe < fr, 1, 0),
-            np.where(
-                fr < F[:, -2],
-                0,
-                np.where(
-                    fr < F[:, -1],
-                    np.where(fc <= fr, 2, -1),
-                    np.where(fcc < F[:, -1], 3, -1),
-                ),
-            ),
-        )
-        at = np.flatnonzero(pick >= 0)
-        S[at, -1] = trial[at, pick[at]]
-        F[at, -1] = ft[at, pick[at]]
-        at = np.flatnonzero(pick < 0)
-        if at.size:
-            S[at, 1:] = S[at, :1] + sigma * (S[at, 1:] - S[at, :1])
-            F[at, 1:] = score(S[at, 1:], sign[at])
-        S, F = sort(S, F)
-        iters += 1
+    for _ in range(100):
+        c, f0, dl, e = C[live], F[live], d[live], axis[live]
+        hs, hp = np.clip(dl, 1e-5, 1e-4), np.minimum(dl, 1e-4)
+        Z = (np.stack([hs, hp, 0.1 * hp], axis=1)[:, :, None] * _STENCIL).reshape(live.size, -1)
+        Z = Z * e[:, None]
+        V = score(c, Z)
+        h2 = hs * hs
+        h11 = (V[:, 0] + V[:, 1] - 2.0 * f0) / h2
+        h22 = (V[:, 2] + V[:, 3] - 2.0 * f0) / h2
+        h12 = 0.5 * ((V[:, 4] + V[:, 5] - 2.0 * f0) / h2 - h11 - h22)
+        # the principal frame: the real axis has the larger curvature k1
+        turn = np.exp(0.5j * np.arctan2(2.0 * h12, h11 - h22))
+        e = axis[live] = e * turn
+        g = (V[:, 0] - V[:, 1] + 1j * (V[:, 2] - V[:, 3])) / (2.0 * hs) * np.conj(turn)
+        mid, rad = 0.5 * (h11 + h22), np.hypot(0.5 * (h11 - h22), h12)
+        k1, k2 = mid + rad, mid - rad
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = (np.where(k1 > 0.0, -g.real / k1, -4.0 * dl * np.sign(g.real))
+                 + 1j * np.where(k2 > 0.0, -g.imag / k2, -4.0 * dl * np.sign(g.imag)))
+        s = np.where(np.isfinite(s), s, 0.0)
+        cap = 4.0 * np.maximum(dl, 1e-3)
+        s *= cap / np.maximum(np.abs(s), cap)
+        P = s[:, None] * _STEP
+        ZB = (P[:, :, None] + hs[:, None, None] * _ACROSS) * e[:, None, None]
+        VB = score(c, ZB)
+        Z = np.concatenate([Z, ZB.reshape(live.size, -1)], axis=1)
+        V = np.concatenate([V, VB.reshape(live.size, -1)], axis=1)
+        ka = (VB[..., 1] + VB[..., 2] - 2.0 * VB[..., 0]) / h2[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau = np.where(ka > 0.0, (VB[..., 2] - VB[..., 1]) / (2.0 * hs[:, None] * ka), 0.0)
+        lim = np.maximum(np.abs(P), hs[:, None])
+        tau = np.clip(tau, -lim, lim)
+        if np.any(ka * tau * tau > 1e-13 * np.abs(f0)[:, None]):
+            ZC = (P + tau) * e[:, None]
+            Z = np.concatenate([Z, ZC], axis=1)
+            V = np.concatenate([V, score(c, ZC)], axis=1)
+        at, j = np.arange(live.size), np.argmin(V, axis=1)
+        lower = V[at, j] < f0
+        gained = lower & (f0 - V[at, j] > 1e-13 * np.abs(f0))
+        moved = _chart_points(c[lower], Z[at, j][lower, None])[:, 0]
+        C[live[lower]] = moved / np.linalg.norm(moved, axis=1)[:, None]
+        F[live[lower]] = V[at, j][lower]
+        d[live] = np.where(gained, np.abs(Z[at, j]), 0.1 * np.minimum(dl, np.abs(s)))
+        iters[live] += 1
+        live = live[d[live] >= 1e-10]
+        if live.size == 0:
+            break
+    return C, F, iters
 
 
-def _scan_complex(fn, sign, support=()):
+def _scan_complex(fn, sign, vals, support=()):
     """Extremum of sign * fn over the complex coefficient sphere, grid plus polish.
 
-    Six spread grid minima of sign * fn seed polishes of sign * fn; each
-    row of ``support`` (sphere parameters) seeds a finer polish of the
-    same.  Every start runs in one lockstep Nelder-Mead batch.  Returns
-    the (value of fn, coefficient row) extremum and the polished support
-    rows.
+    vals holds fn on the field's grid.  Six grid minima of sign * fn, at
+    least four latitude steps apart on the sphere and started at scale an
+    eighth of a step (a longer first step can leave its peak for a lower
+    one on the rugged ratio of a p = 1 norm at large n), and the rows of
+    ``support``, at 5e-3, seed one batch of _polish_complex.  Returns the
+    (value of fn, coefficient row) extremum and the polished support rows.
     """
     grid, rows = _FIT_GRID["complex"]
     n_phi = _COMPLEX_SHAPE[1]
-    vals = fn(rows)
     order = np.argsort(sign * vals)
-    starts = _spread_starts(order, _COMPLEX_SHAPE, 6, 4)
-    h = 0.5 * (grid[n_phi, 0] - grid[0, 0])
-    X0 = [grid[i * n_phi + j] for i, j in starts] + list(support)
-    opts = ([(sign, h, 1e-11, 1e-13, 150)] * len(starts)
-            + [(sign, 5e-3, 1e-13, 1e-15, 200)] * len(support))
-    X, F = _nelder_mead_rows(fn, "complex", np.array(X0), *np.array(opts).T)
-    C = _sphere_points(X, "complex")
+    step = grid[n_phi, 0] - grid[0, 0]
+    starts = _spread_starts(order, rows, 6, math.cos(4.0 * step))
+    C0 = np.vstack([rows[starts], *support])
+    d0 = np.r_[np.full(len(starts), 0.125 * step), np.full(len(C0) - len(starts), 5e-3)]
+    C, F, _ = _polish_complex(fn, sign, C0, d0)
     k0, n_grid = int(order[0]), len(starts)
     # earliest strict improvement wins, the grid point first
     k = int(np.argmin(np.concatenate([[sign * vals[k0]], F[:n_grid]])))
@@ -458,17 +448,17 @@ def _circle_polish(fn, sign, t0, half, xatol, maxiter):
     return float(res.fun), np.array([math.cos(t), math.sin(t)])
 
 
-def _scan_real(fn, sign, support=()):
+def _scan_real(fn, sign, vals, support=()):
     """Extremum of sign * fn over the real coefficient circle, grid plus polish.
 
-    The eight best grid minima of sign * fn seed polishes of sign * fn
-    over one grid step; each angle of ``support`` seeds a finer polish of
-    the same.  Returns what _scan_complex returns.
+    vals holds fn on the field's grid.  Its eight best minima of sign * fn
+    seed polishes of sign * fn over one grid step, and the angle of each
+    row of ``support`` a finer one.  Returns what _scan_complex returns.
     """
     grid, rows = _FIT_GRID["real"]
     t = grid[:, 0]
     step = t[1] - t[0]
-    sv = sign * fn(rows)
+    sv = sign * vals
     local = np.flatnonzero((sv <= np.roll(sv, 1)) & (sv <= np.roll(sv, -1)))
     k0 = int(np.argmin(sv))
     best_v, best_c = float(sv[k0]), rows[k0]
@@ -476,7 +466,8 @@ def _scan_real(fn, sign, support=()):
         v, c = _circle_polish(fn, sign, t[k], step, 1e-12, 300)
         if v < best_v:
             best_v, best_c = v, c
-    polished = [_circle_polish(fn, sign, x[0], 0.02, 1e-13, 200)[1] for x in support]
+    polished = [_circle_polish(fn, sign, math.atan2(float(c[1]), float(c[0])), 0.02,
+                               1e-13, 200)[1] for c in support]
     return (sign * best_v, best_c), polished
 
 
@@ -502,19 +493,16 @@ def _exchange(P, farthest):
 
 def _merge_close(P, gap=1e-5):
     # projective duplicates add nothing to the enclosure; keep the first
+    sq = [float(np.real(np.vdot(c, c))) for c in P]
     keep = []
     for i in range(P.shape[0]):
-        if all(_norm_sq(P[i]) + _norm_sq(P[k]) - 2.0 * abs(complex(np.vdot(P[k], P[i])))
-               > gap * gap for k in keep):
+        if all(sq[i] + sq[k] - 2.0 * abs(complex(np.vdot(P[k], P[i]))) > gap * gap
+               for k in keep):
             keep.append(i)
     return P[keep]
 
 
-def _norm_sq(c):
-    return float(np.real(np.vdot(c, c)))
-
-
-def _refine_support(Q, P, basis, norm, field):
+def _refine_support(Q, P, basis, norm, field, lat):
     """Slide the support set P of Q onto the body's true contact points.
 
     Appending grid violators alone piles near-duplicates next to each
@@ -524,14 +512,14 @@ def _refine_support(Q, P, basis, norm, field):
     support drops whichever copies went stale.  Bodies with
     near-degenerate contact arcs never settle on a finite support, so the
     best enclosure seen wins and two non-improving rounds end the chase.
+    lat holds the grid's lattice norms.
     """
     best_hi, best_Q = np.inf, Q
     stall = 0
     scan = _scan_real if field == "real" else _scan_complex
     for _ in range(8):
         fn = _ratio_fn(basis, norm, Q)
-        X0 = [_sphere_param(c, field) for c in P]
-        (hi, hi_c), polished = scan(fn, -1.0, X0)
+        (hi, hi_c), polished = scan(fn, -1.0, _ratio(Q, _FIT_GRID[field][1], lat), P)
         moved = [hi_c, *polished]
         new = np.stack([c / norm(basis @ c) for c in moved])
         # the support-seeded maxima see spikes the grid scan smooths over,
@@ -656,7 +644,8 @@ def _fit_ellipsoid(basis, norm, field):
         top = float(np.max(_quad_rows(Q_inv, np.conj(A))))
         lo = 1.0 / math.sqrt(top) if top > 0.0 else 0.0
     else:
-        rows = grid / norm.of_rows(grid @ basis.T)[:, None]
+        lat = _lattice_norms(grid, basis, norm)
+        rows = grid / lat[:, None]
 
         def farthest(Q):
             r = _quad_rows(Q, rows)
@@ -667,12 +656,11 @@ def _fit_ellipsoid(basis, norm, field):
         # downstream certificates pay any off-grid excess one for one, so
         # the contact set is refined continuously; the measured K stays
         # honest even if the refinement exits on its round cap
-        Q, hi = _refine_support(Q, support, basis, norm, field)
-        # _refine_support has measured the maximum of Q's ratio; scan the
-        # minimum
+        Q, hi = _refine_support(Q, support, basis, norm, field, lat)
+        # _refine_support measured the maximum of Q's ratio; scan the minimum
         fn = _ratio_fn(basis, norm, Q)
         scan = _scan_real if field == "real" else _scan_complex
-        lo = scan(fn, 1.0)[0][0]
+        lo = scan(fn, 1.0, _ratio(Q, grid, lat))[0][0]
     sample_ratios = fn(_SAMPLE[field])
     lo = min(lo, float(sample_ratios.min()))
     hi = max(hi, float(sample_ratios.max()))

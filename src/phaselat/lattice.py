@@ -145,6 +145,8 @@ class NormSpec:
         if not (p >= 1.0):
             raise InputError(f"p must satisfy 1 <= p <= inf, got {self.p}")
         object.__setattr__(self, "p", p)
+        # the floor of any row of up to 2^64 entries: above it no row rescales
+        object.__setattr__(self, "_floor_cap", self._floor(2.0 ** 64))
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=np.float64)
             if w.ndim != 1 or not np.all(np.isfinite(w)) or np.any(w <= 0):
@@ -177,17 +179,23 @@ class NormSpec:
             return math.sqrt(self._weighted(a * a).sum())
         return float(self._weighted(a ** p).sum() ** (1.0 / p))
 
+    def _floor(self, n):
+        # below this norm a sum of n powers may hold subnormal terms that
+        # cost over half an ulp; no power is taken at p in {1, inf}
+        return 0.0 if self.p in (1.0, math.inf) else (n * 2.0 ** -1021) ** (1.0 / self.p)
+
     def __call__(self, x):
         """Norm of a single vector (real or complex entries).
 
-        A power that overflows to inf, or underflows to 0 on a nonzero
-        vector, is recomputed with the largest modulus factored out (the
-        norm is homogeneous); every other result is the plain one.
+        A result that overflows, or falls below the floor where subnormal
+        powers can blur it, is recomputed on a nonzero vector with the
+        largest modulus factored out; every other result is the plain one.
         """
         a = modulus(x)
         with np.errstate(over="ignore"):
             r = self._of_moduli(a)
-            if (math.isinf(r) or r == 0.0) and a.size:
+            if a.size and not (self._floor_cap < r < math.inf
+                               or self._floor(a.size) < r < math.inf):
                 s = float(a.max())
                 if 0.0 < s < math.inf:
                     r = s * self._of_moduli(a / s)
@@ -196,8 +204,8 @@ class NormSpec:
     def of_rows(self, X):
         """Row-wise norms of a 2-d array; the batched form of __call__.
 
-        As in __call__, a nonzero row whose power overflows to inf or
-        underflows to 0 is recomputed with its largest modulus factored out.
+        As in __call__, a nonzero row that overflows or falls below the floor
+        is recomputed with its largest modulus factored out.
         """
         a = modulus(np.asarray(X))
         if self.p == math.inf and self.weights is None:
@@ -210,9 +218,10 @@ class NormSpec:
             if self.p == 1.0:
                 return np.sum(self._weighted(a), axis=1)
             r = self._powered_rows(a)
-            if r.size and not (0.0 < r.min() and r.max() < math.inf):
+            if r.size and not (self._floor_cap < r.min() and r.max() < math.inf):
                 s = a.max(axis=1, initial=0.0)
-                redo = ((r == 0.0) | np.isinf(r)) & (s > 0.0) & (s < math.inf)
+                redo = (r <= self._floor(a.shape[1])) | np.isinf(r)
+                redo &= (s > 0.0) & (s < math.inf)
                 if redo.any():
                     s = s[redo]
                     r[redo] = s * self._powered_rows(a[redo] / s[:, None])

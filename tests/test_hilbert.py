@@ -4,7 +4,6 @@ import hashlib
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
 from phaselat import (
     DependentVectorsError,
@@ -23,7 +22,7 @@ from phaselat import (
 )
 from phaselat import hilbert
 from phaselat.lattice import ldexp
-from phaselat.hilbert import _nelder_mead_rows, _ratio_fn, _sphere_points
+from phaselat.hilbert import _ratio_fn
 from conftest import random_vec
 
 SQRT2 = np.sqrt(2.0)
@@ -94,37 +93,53 @@ def test_weighted_two_norm_fit_is_exact(rng, field):
         assert H.norm_h(x) == pytest.approx(norm(x), rel=1e-12)
 
 
-@pytest.mark.parametrize("field", ["complex", "real"])
-def test_nelder_mead_rows_matches_scipy(rng, field):
-    # both option sets the complex fit uses: grid starts (half a grid step,
-    # 1e-11 / 1e-13, 150 steps) and support polishes (5e-3, 1e-13 / 1e-15, 200)
-    opts = [(0.25 * np.pi / 64, 1e-11, 1e-13, 150)] * 8 + [(5e-3, 1e-13, 1e-15, 200)] * 8
-    h, xatol, fatol, maxiter = np.array(opts).T
-    dim = 2 if field == "complex" else 1
-    for p in (1.0, 3.0, np.inf):
-        basis = np.stack([random_vec(rng, 5, field) for _ in range(2)], axis=1)
-        A = random_vec(rng, 4, field).reshape(2, 2)
-        fn = _ratio_fn(basis, NormSpec(p), np.conj(A.T) @ A + 0.5 * np.eye(2))
-        X0 = np.column_stack([rng.uniform(0.0, np.pi / 2, 16),
-                              rng.uniform(0.0, 2 * np.pi, 16)])[:, :dim]
-        sign = np.where(np.arange(16) % 2 == 0, 1.0, -1.0)
-        _, F = _nelder_mead_rows(fn, field, X0, sign, h, xatol, fatol, maxiter)
-        for k, x0 in enumerate(X0):
-            def obj(x, s=sign[k]):
-                return s * float(fn(_sphere_points(x[None, :], field))[0])
+def _local_grid(fn, c, radius):
+    # fn on a 41 x 41 grid of the chart around the unit row c
+    t = np.linspace(-radius, radius, 41)
+    z = (t[:, None] + 1j * t[None, :]).ravel()
+    return fn(c[None, :] + z[:, None] * np.array([-np.conj(c[1]), np.conj(c[0])]))
 
-            res = minimize(
-                obj,
-                x0,
-                method="Nelder-Mead",
-                options={
-                    "initial_simplex": x0 + h[k] * np.vstack([np.zeros(dim), np.eye(dim)]),
-                    "xatol": xatol[k],
-                    "fatol": fatol[k],
-                    "maxiter": int(maxiter[k]),
-                },
-            )
-            assert abs(F[k] - res.fun) <= 1e-12
+
+@pytest.mark.parametrize("p", [1.0, 3.0])
+def test_polish_complex_reaches_local_minima(rng, p):
+    # every polished start is no worse than its start, and no point of a
+    # fine local grid around its result is lower by more than 1e-13
+    basis = np.stack([random_vec(rng, 5, "complex") for _ in range(2)], axis=1)
+    A = random_vec(rng, 4, "complex").reshape(2, 2)
+    fn = _ratio_fn(basis, NormSpec(p), np.conj(A.T) @ A + 0.5 * np.eye(2))
+    C0 = random_vec(rng, 24, "complex").reshape(12, 2)
+    for sign in (1.0, -1.0):
+        C, F, iters = hilbert._polish_complex(fn, sign, C0, 5e-3)
+        assert np.all(F <= sign * fn(C0)) and iters.max() < 100
+        np.testing.assert_allclose(sign * fn(C), F, rtol=0, atol=1e-15)
+        for c, f in zip(C, F):
+            for radius in (1e-3, 1e-6):
+                assert np.min(sign * _local_grid(fn, c, radius)) >= f - 1e-13
+
+
+def test_polish_complex_stops_before_its_cap():
+    # starts at the poles of the sphere's (s, phi) parameters, at the cone
+    # tips of a p = 1 norm on an exactly disjoint pair (its ratio peaks
+    # there), next to them, and at smooth optima found by a first polish
+    # all stop on their value rule, not on the iteration cap
+    f = np.array([1.0, 2.0j, 0.0, 0.0, 0.0])
+    g = np.array([0.0, 0.0, 1.0, -1.0, 0.5j])
+    norm = NormSpec(1.0)
+    H = fit_hilbert_norm(f, g, norm)
+    fn = _ratio_fn(np.stack([f, g], axis=1), norm, H.gram)
+    C0 = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1e-3j], [1e-3, 1.0], [0.6, 0.8j]])
+    for sign in (1.0, -1.0):
+        C, F, iters = hilbert._polish_complex(fn, sign, C0, 5e-3)
+        assert iters.max() < 100
+        C2, F2, iters = hilbert._polish_complex(fn, sign, C, 5e-3)
+        assert iters.max() < 100 and np.all(F2 <= F)
+        if sign > 0:
+            # the minimum ratio 1 is attained on a whole circle
+            np.testing.assert_allclose(F2, 1.0, rtol=0, atol=1e-12)
+        else:
+            # the maximum K on the tips, where one part of the pair vanishes
+            np.testing.assert_allclose(-F2, H.distortion_K, rtol=0, atol=1e-9)
+            assert np.max(np.min(np.abs(C2), axis=1)) <= 1e-9
 
 
 def _assert_mvee_certificate(C, Q, u):
@@ -442,6 +457,48 @@ def test_sup_norm_fit_is_exact(monkeypatch):
     assert len(stops) == len(panel) and all(stops)
 
 
+def _complex_sandwich_panel():
+    # seeded complex p in {1, 3} pairs, n from 2 to 7, in four kinds: two
+    # disjoint supports bridged by one shared coordinate, weighted,
+    # exactly disjoint, and plain random pairs
+    rng = np.random.default_rng(1414)
+    for p in (1.0, 3.0):
+        for k in range(24):
+            kind, n = k % 4, 2 + k % 6
+            f, g = random_vec(rng, n, "complex"), random_vec(rng, n, "complex")
+            w = None
+            if kind == 0:
+                m = int(rng.integers(1, max(2, n - 1)))
+                f[m:-1] = 0.0
+                g[:m] = 0.0
+                f[-1], g[-1] = rng.uniform(0.01, 0.3) * np.exp(2j * np.pi * rng.random(2))
+            elif kind == 1:
+                w = rng.uniform(0.5, 2.0, n)
+            elif kind == 2:
+                m = int(rng.integers(1, n))
+                f[m:] = 0.0
+                g[:m] = 0.0
+            yield f, g, NormSpec(p, weights=w)
+
+
+def test_complex_fit_sandwich():
+    # no ratio ||x||_H / ||x|| of a 200,000-row sample of the coefficient
+    # sphere lies outside [1 - 1e-12, K + 1e-12]: the polished scans find
+    # both extrema of every form, also on the flat contact circles of
+    # disjoint pairs and of n = 2
+    rng = np.random.default_rng(2024)
+    z = rng.standard_normal((200_000, 4))
+    sample = z[:, :2] + 1j * z[:, 2:]
+    for f, g, norm in _complex_sandwich_panel():
+        H = fit_hilbert_norm(f, g, norm)
+        B = np.stack([f, g], axis=1)
+        for C in np.array_split(sample, 8):
+            q = np.einsum("ij,jk,ik->i", np.conj(C), H.gram, C).real
+            ratio = np.sqrt(q) / norm.of_rows(C @ B.T)
+            assert ratio.min() >= 1.0 - 1e-12
+            assert ratio.max() <= H.distortion_K + 1e-12
+
+
 def _frozen_fit_panel():
     # seeded p in {1, 3} fits: both fields, n from 2 to 6, odd n weighted
     rng = np.random.default_rng(1313)
@@ -453,17 +510,21 @@ def _frozen_fit_panel():
                 yield f, g, NormSpec(p, weights=w), field
 
 
-def test_fit_outputs_are_frozen():
-    # a SHA-256 digest of every Gram matrix and K of the panel; the grid
-    # exchange, the support refinement and the scans must reproduce them
-    # bit for bit
+@pytest.mark.parametrize("field, digest", [
+    ("real", "bee19cf29bdc6a2cb7cca9f81c494772ca22a1cf1bb1ceaa211db9ee41a0337b"),
+    ("complex", "5f9bdf37097b2e756409b97ec32ecacf21320fb5d97d171f54bb418920cba981"),
+], ids=["real", "complex"])
+def test_fit_outputs_are_frozen(field, digest):
+    # a SHA-256 digest of every Gram matrix and K of the field's panel; the
+    # grid exchange, the support refinement and the scans must reproduce
+    # them bit for bit
     h = hashlib.sha256()
-    for f, g, norm, field in _frozen_fit_panel():
-        H = fit_hilbert_norm(f, g, norm, field=field)
-        h.update(np.ascontiguousarray(H.gram).tobytes())
-        h.update(np.float64(H.distortion_K).tobytes())
-    assert h.hexdigest() == (
-        "10c3eaa189c072fc9824a9bbe6d384d31ff7bbdc68872131d3577c75381235fd")
+    for f, g, norm, fit_field in _frozen_fit_panel():
+        if fit_field == field:
+            H = fit_hilbert_norm(f, g, norm, field=field)
+            h.update(np.ascontiguousarray(H.gram).tobytes())
+            h.update(np.float64(H.distortion_K).tobytes())
+    assert h.hexdigest() == digest
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])

@@ -25,7 +25,7 @@ from phaselat import (
     perp_profile,
     re_prod,
 )
-from phaselat.lattice import check_same_dim
+from phaselat.lattice import check_same_dim, ldexp
 from conftest import random_vec
 from oracles import weighted_norm
 
@@ -304,6 +304,27 @@ def _plain_norm(x, p, w):
     if p == 2.0:
         return float(np.sqrt(np.sum((a * a) * w)))
     return float(np.sum((a ** p) * w) ** (1.0 / p))
+
+
+@pytest.mark.parametrize("p, exponents", [(2.0, range(510, 541, 3)), (3.0, range(340, 361, 2))])
+def test_norm_of_vectors_in_the_subnormal_window(rng, p, exponents):
+    # scaling by 2^-k is exact, so the norm must scale with it; in these
+    # windows the powers of some entries are subnormal, which the plain
+    # formula would keep.  Rows have largest modulus 1/2, so at p = 3 the
+    # whole window lies below the rescale floor: above it the plain
+    # formula's rounded exponent 1/3, amplified by |log| of the powered
+    # sum, costs up to about 1.3e-14 relative at this scale
+    for field in ("real", "complex"):
+        for w in (None, rng.uniform(0.5, 2.0, 6)):
+            norm = NormSpec(p, weights=w)
+            X = random_vec(rng, 6 * 5, field).reshape(5, 6)
+            X[1, :3] *= 1e-3
+            X /= 2.0 * np.max(np.abs(X), axis=1)[:, None]
+            for k in exponents:
+                Y = ldexp(X, -k)
+                want = np.ldexp(norm.of_rows(X), -k)
+                np.testing.assert_allclose(norm.of_rows(Y), want, rtol=1e-15, atol=0)
+                np.testing.assert_allclose([norm(y) for y in Y], want, rtol=1e-15, atol=0)
 
 
 def test_norm_keeps_every_finite_nonzero_result(rng):
