@@ -13,6 +13,7 @@ the wall_time_s field is the only nondeterministic entry).
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -274,7 +275,7 @@ def cmd_search_disjoint(args):
 
 def cmd_search_perp(args):
     t0 = time.perf_counter()
-    if args.m < 0:
+    if not args.m >= 0:
         raise ProblemError(f"--m must be nonnegative, got {args.m}")
     ambient, basis, _ = _load_problem(args.file, need_basis=True)
     E = _subspace(ambient, basis)
@@ -549,7 +550,9 @@ def cmd_example(args):
     return _report(args, "example c4", payload, t0, ok=all(checks.values()))
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parse_args leaves the parser unchanged
     ap = argparse.ArgumentParser(
         prog="phaselat",
         description="Numerical phase retrieval analysis on coordinate Banach lattices",

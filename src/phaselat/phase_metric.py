@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .lattice import (InputError, as_vector, check_same_dim, ldexp, modulus,
-                      perp_profile, unit_exponent)
+                      perp_profile)
 
 __all__ = ["PhaseAlignment", "RatioReport", "PairWitness",
            "unimodular_distance", "spr_ratio"]
@@ -64,19 +64,43 @@ class RatioReport:
     lambda_star: complex
 
 
-def _euclidean_phase(f, g, norm):
-    # the phase of <f, g> = sum_i w_i f_i conj(g_i), 1 when it vanishes; a
-    # sum that overflowed, or is small enough to have lost products to
-    # underflow, is recomputed on f and g scaled by powers of two, which
-    # keeps the phase
+def euclidean_phases(F, G, norm):
+    """Row-wise phase of <f, g> = sum_i w_i f_i conj(g_i), 1 where it vanishes.
+
+    The minimizing scalar of the weighted 2-norm distance for each row pair
+    of the 2-d arrays F and G; the searches call it on their candidate
+    rows.  A sum that overflowed, or is small enough to have lost products
+    to underflow, is recomputed on its rows scaled by powers of two, which
+    keeps the phase.  Each row's phase is that of the row alone: the
+    modulus is hypot(Re, Im) and the quotient is Python's complex division
+    by a real, so a one-row call reproduces the scalar computation bit for
+    bit.
+    """
     w = norm.weights if norm.weights is not None else 1.0
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        ip = complex(np.sum(w * f * np.conj(g)))
-    if not 1e-250 < abs(ip) < np.inf:
-        f, g = ldexp(f, -unit_exponent(f)), ldexp(g, -unit_exponent(g))
-        ip = complex(np.sum(w * f * np.conj(g)))
-    mag = abs(ip)
-    return ip / mag if mag > 0 else 1.0 + 0.0j
+        ip = np.sum(w * F * np.conj(G), axis=1)
+        mag = np.hypot(ip.real, ip.imag)
+    redo = ~((1e-250 < mag) & (mag < np.inf))
+    if redo.any():
+        F, G = _unit_rows(F[redo]), _unit_rows(G[redo])
+        ip[redo] = np.sum(w * F * np.conj(G), axis=1)
+        mag[redo] = np.hypot(ip.real[redo], ip.imag[redo])
+    lam = np.ones(ip.shape, dtype=np.complex128)
+    live = mag > 0
+    ip, mag = ip[live], mag[live]
+    # (a + ib) / (r + 0i) as Python divides it: the ratio of the divisor's
+    # parts is 0, so a + b * 0 over r, and b - a * 0 over r
+    lam.real[live] = (ip.real + ip.imag * 0.0) / mag
+    lam.imag[live] = (ip.imag - ip.real * 0.0) / mag
+    return lam
+
+
+def _unit_rows(X):
+    # each row scaled by the power of two that puts its largest real or
+    # imaginary part in [1/2, 1), as lattice.unit_exponent does for a vector
+    top = np.maximum(np.max(np.abs(X.real), axis=1, initial=0.0),
+                     np.max(np.abs(X.imag), axis=1, initial=0.0))
+    return ldexp(X, -np.frexp(top)[1][:, None])
 
 
 def unimodular_distance(f, g, norm, *, field="complex"):
@@ -108,7 +132,7 @@ def unimodular_distance(f, g, norm, *, field="complex"):
         # lambda* = phase of <f, g>; evaluating norm(f - lambda* g) by
         # subtraction avoids the cancellation in the norm identity
         # ||f||^2 + ||g||^2 - 2|<f, g>| near colinear pairs
-        lam = _euclidean_phase(f, g, norm)
+        lam = euclidean_phases(f[None, :], g[None, :], norm)[0]
         return PhaseAlignment(distance=float(norm(f - lam * g)),
                               lambda_star=complex(lam))
     return _grid_distance(f, g, norm)

@@ -8,6 +8,11 @@ the lattice norm, so the search space stays compact.  Local moves are
 coordinate pattern steps, which tolerate the kinks of the p = 1 and
 p = infinity norms; every returned witness is re-measured from scratch by
 the lattice and phase-distance primitives before being reported.
+Inside the loops a separation is exact over the real field (two signs)
+and at complex p = 2 (the phase of each row's weighted inner product);
+every other complex norm is scored on a coarse grid of phase angles.  A
+row whose modulus gap already clears a separation target is scored
+without any phase scalar, since no separation lies below the gap.
 All seeded restarts of a search step in lockstep as one (R, d) state,
 one objective call per sweep; each restart takes exactly the steps it
 would take alone, and winners are taken in restart order.
@@ -20,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from .lattice import Ambient, InputError, PhaseLatError, as_vector, require_independent
-from .phase_metric import RATIO_ATOL_SCALE, PairWitness, spr_ratio
+from .phase_metric import RATIO_ATOL_SCALE, PairWitness, euclidean_phases, spr_ratio
 
 __all__ = [
     "InfeasibleError",
@@ -37,8 +42,8 @@ __all__ = [
 
 UNBOUNDED_RATIO = 1e9
 
-# coarse unimodular grid used inside search loops; final measurements
-# always go through unimodular_distance at full precision
+# coarse unimodular grid used inside search loops at complex p != 2; final
+# measurements always go through unimodular_distance at full precision
 _SEP_ANGLES = np.linspace(0.0, 2 * np.pi, 48, endpoint=False)
 _SEP_GRID = np.exp(1j * _SEP_ANGLES)
 # the 17 zoom angles around each coarse angle, one row per grid index
@@ -48,7 +53,9 @@ _SEP_GRID.flags.writeable = _SEP_REFINE.flags.writeable = False
 # in its argmin's basin the refined coarse separation overestimates by at
 # most ~2 sin(spacing / 32) ||g||, 8e-3 on normalized pairs; a minimum in
 # another basin has passed the margin by up to 0.0204 (complex, p = inf),
-# and search_perp_pair re-measures every witness and drops such a pair
+# and search_perp_pair re-measures every witness and drops such a pair.
+# The margin covers only rows scored on the grid: real and complex p = 2
+# separations are exact, and there it only raises the target
 _SEP_MARGIN = 0.01
 _DELTA0 = 0.35  # every restart's first pattern step
 # grid entries (candidate rows x phase angles x dimension) one objective
@@ -232,6 +239,9 @@ def _sep_rows_coarse(U, V, norm, field, refine=False):
         diffs = U[:, None, :] - lams[None, :, None] * V[:, None, :]
         flat = diffs.reshape(-1, U.shape[1])
         return norm.of_rows(flat).reshape(U.shape[0], 2).min(axis=1)
+    if norm.p == 2.0:
+        # the closed form: each row's phase of <u, v> attains the minimum
+        return norm.of_rows(U - euclidean_phases(U, V, norm)[:, None] * V)
     diffs = U[:, None, :] - _SEP_GRID[None, :, None] * V[:, None, :]
     flat = diffs.reshape(-1, U.shape[1])
     vals = norm.of_rows(flat).reshape(U.shape[0], _SEP_GRID.shape[0])
@@ -275,6 +285,25 @@ def _disjoint_objective(E):
     return fn
 
 
+def _shortfall(U, V, norm, field, target):
+    """max(target - sep, 0) per normalized row pair, with sep from
+    _sep_rows_coarse(refine=True).
+
+    |u_i - lambda v_i| >= | |u_i| - |v_i| | and the norm is monotone, so no
+    separation lies below the modulus gap N(| |u| - |v| |).  A row whose gap
+    clears the target by 1e-12, far above the rounding of either norm on
+    normalized pairs, falls short by exactly 0 whatever sep is, so sep is
+    computed for the other rows only.
+    """
+    gap = norm.of_rows(np.abs(np.abs(U) - np.abs(V)))
+    near = np.flatnonzero(~(gap >= target + 1e-12))
+    out = np.zeros(U.shape[0])
+    if near.size:
+        sep = _sep_rows_coarse(U[near], V[near], norm, field, refine=True)
+        out[near] = np.maximum(target - sep, 0.0)
+    return out
+
+
 def _perp_objective(E, m, rho):
     norm = E.ambient.norm
     field = E.ambient.field
@@ -284,8 +313,7 @@ def _perp_objective(E, m, rho):
         perp = norm.of_rows(np.sqrt(np.abs((U * np.conj(V)).real)))
         out = np.full(X.shape[0], np.nan)
         if m > 0.0:
-            sep = _sep_rows_coarse(U, V, norm, field, refine=True)
-            viol = np.maximum(m - sep, 0.0)
+            viol = _shortfall(U, V, norm, field, m)
             out[ok] = perp + rho * viol * viol
         else:
             out[ok] = perp
@@ -302,8 +330,7 @@ def _feasibility_objective(E, target):
     def fn(X):
         U, V, ok = _normalized_pairs(E, X)
         out = np.full(X.shape[0], np.nan)
-        sep = _sep_rows_coarse(U, V, norm, field, refine=True)
-        out[ok] = np.maximum(target - sep, 0.0)
+        out[ok] = _shortfall(U, V, norm, field, target)
         return out
 
     return fn
@@ -430,10 +457,10 @@ def search_perp_pair(E, m, budget=None, seed=0, feas_tol=1e-6):
     Exterior penalty with escalating weight; the returned witness is
     re-measured at full precision and must satisfy
     separation >= m - feas_tol, otherwise InfeasibleError.  m = 0 runs
-    the unconstrained search.
+    the unconstrained search; a negative or NaN m raises InputError.
     """
-    if m < 0:
-        raise InputError("m must be nonnegative")
+    if not m >= 0:
+        raise InputError(f"m must be nonnegative, got {m}")
     budget = budget or SearchBudget()
     rng = np.random.default_rng(seed)
     norm = E.ambient.norm
@@ -486,10 +513,13 @@ def check_pr(E, m_grid=(0.05, 0.1, 0.2), budget=None, seed=0, eps_fail=1e-6):
 
     Runs search_perp_pair for each m; a witness with perp < eps_fail and
     separation >= m - 1e-6 decides failure.  A pass is only "no witness
-    found under this budget", never a proof.
+    found under this budget", never a proof.  A negative or NaN m in the
+    grid raises InputError before any search runs.
     """
     if len(m_grid) == 0:
         raise InputError("m_grid must be nonempty")
+    if not all(m >= 0 for m in m_grid):
+        raise InputError(f"every m must be nonnegative, got {tuple(m_grid)}")
     budget = budget or SearchBudget()
     per_m = {}
     for i, m in enumerate(m_grid):

@@ -75,14 +75,24 @@ def grid_distance(f, g, p, weights=None, n=100000):
 
 
 def closed_form_l2_distance(f, g, weights=None):
-    """min over |lambda| = 1 of the weighted 2-norm of f - lambda g."""
-    f = np.asarray(f, dtype=complex)
-    g = np.asarray(g, dtype=complex)
-    w = np.ones(f.shape[0]) if weights is None else np.asarray(weights, dtype=float)
-    nf2 = float(np.sum(w * np.abs(f) ** 2))
-    ng2 = float(np.sum(w * np.abs(g) ** 2))
-    ip = np.sum(w * f * np.conj(g))
-    return float(np.sqrt(max(nf2 + ng2 - 2.0 * abs(ip), 0.0)))
+    """min over |lambda| = 1 of the weighted 2-norm of f - lambda g.
+
+    The minimum is sqrt(||f||^2 + ||g||^2 - 2 |<f, g>|), taken here without
+    cancellation, so it stays accurate to rounding near colinear pairs:
+    the radicand is (||f|| - ||g||)^2 + 2 (||f|| ||g|| - |<f, g>|), and
+    by Lagrange's identity ||f||^2 ||g||^2 - |<f, g>|^2 is
+    1/2 sum_ij |a_i b_j - a_j b_i|^2 with a = sqrt(w) f and b = sqrt(w) g,
+    a sum of nonnegative terms.  The n x n sum suits short vectors.
+    """
+    w = np.ones(np.shape(f)[0]) if weights is None else np.asarray(weights, dtype=float)
+    a = np.sqrt(w) * np.asarray(f, dtype=complex)
+    b = np.sqrt(w) * np.asarray(g, dtype=complex)
+    na = float(np.sqrt(np.sum(np.abs(a) ** 2)))
+    nb = float(np.sqrt(np.sum(np.abs(b) ** 2)))
+    ip = float(abs(np.sum(a * np.conj(b))))
+    lagrange = 0.5 * float(np.sum(np.abs(np.outer(a, b) - np.outer(b, a)) ** 2))
+    cross = lagrange / (na * nb + ip) if na * nb + ip > 0.0 else 0.0
+    return float(np.sqrt((na - nb) ** 2 + 2.0 * cross))
 
 
 def real_pair_sweep(basis, p, weights=None, step=1e-3, chunk=200000):
@@ -155,3 +165,70 @@ def serial_pattern_search(objective, x0, da, max_sweeps, project, delta0=0.35,
         if plateau is not None and delta < plateau(fx):
             break
     return x, fx, sweeps
+
+
+def grid_separations(U, V, of_rows, grid, refine=None):
+    """Least of_rows(u - lambda v) of each row pair over the scalars ``grid``.
+
+    With ``refine`` (one row of scalars per grid index) the least value
+    over the row of each pair's grid argmin is taken too.  This is the
+    searches' coarse separation run on every row, with no row skipped
+    and no closed form; ``of_rows`` is the lattice norm's row-wise norm.
+    """
+    n = U.shape[1]
+    vals = of_rows((U[:, None, :] - grid[None, :, None] * V[:, None, :]).reshape(-1, n))
+    vals = vals.reshape(U.shape[0], grid.shape[0])
+    if refine is None:
+        return vals.min(axis=1)
+    lam = refine[vals.argmin(axis=1)]
+    near = of_rows((U[:, None, :] - lam[:, :, None] * V[:, None, :]).reshape(-1, n))
+    return np.minimum(vals.min(axis=1), near.reshape(lam.shape).min(axis=1))
+
+
+def full_grid_objectives(pairs, of_rows, sep, m, rho):
+    """The perp and feasibility objectives of the searches, scoring the
+    separation ``sep(U, V)`` of every candidate row.
+
+    ``pairs(X)`` returns the normalized row pairs (U, V) and the mask of
+    parameter rows they came from.  Returns (perp objective with target m
+    and penalty weight rho, feasibility objective with target m).
+    """
+    def perp(X):
+        U, V, ok = pairs(X)
+        out = np.full(X.shape[0], np.nan)
+        viol = np.maximum(m - sep(U, V), 0.0)
+        out[ok] = of_rows(np.sqrt(np.abs((U * np.conj(V)).real))) + rho * viol * viol
+        return out
+
+    def feasibility(X):
+        U, V, ok = pairs(X)
+        out = np.full(X.shape[0], np.nan)
+        out[ok] = np.maximum(m - sep(U, V), 0.0)
+        return out
+
+    return perp, feasibility
+
+
+def scalar_euclidean_phase(f, g, weights=None):
+    """The phase of <f, g> = sum_i w_i f_i conj(g_i) for one pair, 1 when it
+    vanishes, in Python complex arithmetic.
+
+    The one-pair loop that the batched phase of the closed form replaced,
+    kept as its bitwise reference: a sum that overflowed or may have lost
+    products to underflow is recomputed on f and g each scaled by the power
+    of two that puts its largest real or imaginary part in [1/2, 1).
+    """
+    f, g = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
+    w = 1.0 if weights is None else np.asarray(weights, dtype=float)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        ip = complex(np.sum(w * f * np.conj(g)))
+    if not 1e-250 < abs(ip) < np.inf:
+        def unit(x):
+            e = int(np.frexp(max(np.max(np.abs(x.real)), np.max(np.abs(x.imag))))[1])
+            out = np.empty_like(x)
+            out.real, out.imag = np.ldexp(x.real, -e), np.ldexp(x.imag, -e)
+            return out
+        f, g = unit(f), unit(g)
+        ip = complex(np.sum(w * f * np.conj(g)))
+    mag = abs(ip)
+    return ip / mag if mag > 0 else 1.0 + 0.0j

@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from phaselat import cli
 from phaselat.cli import main
 
 
@@ -261,9 +262,10 @@ def test_infeasible_separation_exits_one(tmp_path, capsys):
 
 def test_negative_m_exits_two(tmp_path, capsys):
     f = _problem(tmp_path, "real3.json", REAL3)
-    code, _, err = _run(capsys, ["search-perp", f, "--m", "-1"])
-    assert code == 2
-    assert "nonnegative" in err
+    for m in ("-1", "nan"):
+        code, out, err = _run(capsys, ["search-perp", f, "--m", m])
+        assert code == 2
+        assert out == "" and "nonnegative" in err
 
 
 def test_malformed_json_exits_two(tmp_path, capsys):
@@ -359,6 +361,26 @@ def test_only_seeded_commands_report_seed(tmp_path, capsys):
         capsys, ["verify", "identities", "--json", "--samples", "4", "--seed", "5"]
     )
     assert code == 0 and json.loads(out)["seed"] == 5
+
+
+def test_parser_is_built_once_and_survives_a_usage_error(tmp_path, capsys):
+    f = _problem(tmp_path, "real3.json", REAL3)
+    good = ["analyze", f, "--json", "--restarts", "2", "--iters", "40", "--seed", "3"]
+
+    def payload():
+        code, out, err = _run(capsys, good)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        doc.pop("wall_time_s")
+        return doc
+
+    cli._build_parser.cache_clear()
+    alone = payload()
+    cli._build_parser.cache_clear()
+    code, out, err = _run(capsys, ["analyze", f, "--restarts", "two"])
+    assert code == 2 and out == "" and "invalid int value" in err
+    assert payload() == alone
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_no_subcommand_exits_two(capsys):

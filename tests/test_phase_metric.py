@@ -10,9 +10,10 @@ from phaselat import (
     spr_ratio,
     unimodular_distance,
 )
-from phaselat.phase_metric import _GRID_LAMBDA, _grid_distance, _grid_values
+from phaselat.phase_metric import (_GRID_LAMBDA, _grid_distance, _grid_values,
+                                   euclidean_phases)
 from conftest import random_vec
-from oracles import closed_form_l2_distance, grid_distance
+from oracles import closed_form_l2_distance, grid_distance, scalar_euclidean_phase
 
 SQRT2 = np.sqrt(2.0)
 
@@ -311,6 +312,34 @@ def test_euclidean_distance_of_huge_and_tiny_pairs(rng):
             got = unimodular_distance(s * f, s * g, norm)
             assert got.distance == pytest.approx(s * ref.distance, rel=1e-12)
             assert got.lambda_star == pytest.approx(ref.lambda_star, abs=1e-15)
+
+
+def _bits(z):
+    z = np.asarray(z, dtype=complex)
+    return z.real.tobytes() + z.imag.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 9, 130])
+def test_euclidean_phases_match_the_one_pair_loop(rng, n):
+    # every row of one batch, rescued or not, has the bits of the one-pair
+    # loop, signed zeros included, and so has the closed form's scalar
+    rows = [(random_vec(rng, n, "complex"), random_vec(rng, n, "complex"))
+            for _ in range(6)]
+    rows += [(1e200 * f, 1e160 * g) for f, g in rows[:2]]
+    rows += [(1e-200 * f, 1e-140 * g) for f, g in rows[:2]]
+    rows += [(np.zeros(n, complex), rows[0][1]),
+             (rows[0][0].real + 0j, 1j * rows[0][1].imag),
+             (-0.0 * rows[0][0].real + 1j * rows[0][0].imag, rows[0][1].real + 0j)]
+    F, G = np.array([f for f, _ in rows]), np.array([g for _, g in rows])
+    for w in (None, rng.uniform(0.5, 2.0, n)):
+        norm = NormSpec(2.0, weights=w)
+        lam = euclidean_phases(F, G, norm)
+        for i, (f, g) in enumerate(rows):
+            ref = scalar_euclidean_phase(f, g, w)
+            assert _bits(lam[i]) == _bits(ref), i
+            got = unimodular_distance(f, g, norm)
+            assert _bits(got.lambda_star) == _bits(ref)
+            assert got.distance == norm(f - ref * g)
 
 
 def test_ratio_report_reproducible(rng):

@@ -30,7 +30,8 @@ from phaselat import (
 )
 
 from conftest import random_vec
-from oracles import real_pair_sweep, serial_pattern_search
+from oracles import (closed_form_l2_distance, full_grid_objectives, grid_separations,
+                     real_pair_sweep, serial_pattern_search)
 
 
 def _cross_subspace():
@@ -196,8 +197,13 @@ def test_perp_pair_infeasible_separation():
 
 def test_perp_pair_rejects_negative_m():
     E = _cross_subspace()
-    with pytest.raises(InputError):
-        search_perp_pair(E, -0.1)
+    for m in (-0.1, math.nan):
+        with pytest.raises(InputError):
+            search_perp_pair(E, m)
+        # check_pr checks its whole grid first: a failing m before a bad
+        # one does not hide it
+        with pytest.raises(InputError):
+            check_pr(E, m_grid=(0.05, m))
 
 
 @pytest.mark.parametrize("p", [2.0, np.inf])
@@ -484,3 +490,78 @@ def test_restart_blocks_keep_results_and_bound_calls(name, monkeypatch):
         largest[0] = 0
         assert _search_outputs(E) == expected
         assert largest[0] <= max(cells, per)
+
+
+# -- separation scoring --------------------------------------------------------
+
+def _candidate_rows(field, p, weighted, real_span=False, count=240):
+    # normalized parameter rows of a seeded 2-dim span; in a complexified
+    # real span, the second half of the rows have real coefficients
+    rng = np.random.default_rng([41, field == "complex", int(min(p, 4.0)), weighted])
+    n = 5
+    B = np.stack([random_vec(rng, n, "real" if real_span else field) for _ in range(2)])
+    w = rng.uniform(0.5, 2.0, n) if weighted else None
+    E = Subspace(Ambient(n, field, NormSpec(p, w)), B)
+    da = E._param_dim()
+    X = rng.standard_normal((count, 2 * da))
+    if real_span and field == "complex":
+        X[count // 2:, 2:da] = X[count // 2:, da + 2:] = 0.0
+    return E, S._normalize_halves(X, da)[0]
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("p", [1.0, 3.0, np.inf])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_gap_skip_keeps_objectives_bitwise(field, p, weighted, monkeypatch):
+    # a row whose modulus gap clears the target by 1e-12 skips the phase
+    # grid; every objective value must still equal the full grid's.  Rows
+    # of real vectors with one sign pattern have separation equal to their
+    # gap, so the targets sit within 1e-13 of a row that the threshold
+    # decides
+    E, X = _candidate_rows(field, p, weighted, real_span=True)
+    norm = E.ambient.norm
+    if field == "complex":
+        grid, refine = S._SEP_GRID, S._SEP_REFINE
+    else:
+        grid, refine = np.array([1.0, -1.0]), None
+
+    def sep(U, V):
+        return grid_separations(U, V, norm.of_rows, grid, refine)
+
+    def pairs(X):
+        return S._normalized_pairs(E, X)
+
+    U, V, _ = pairs(X)
+    gap = norm.of_rows(np.abs(np.abs(U) - np.abs(V)))
+    scored = []
+    sep_rows = S._sep_rows_coarse
+    monkeypatch.setattr(S, "_sep_rows_coarse",
+                        lambda U, *a, **k: scored.append(U.shape[0]) or sep_rows(U, *a, **k))
+    # targets at the gap of a row whose separation equals its gap, and
+    # within 1e-13 on either side of it and of the skip threshold 1e-12
+    # below it
+    tight = np.flatnonzero(sep(U, V) == gap)
+    assert tight.size
+    g = float(gap[tight[tight.size // 2]])
+    targets = [g] + [g + c + d for c in (0.0, -1e-12) for d in (-1e-13, -1e-14, 1e-14, 1e-13)]
+    for m in targets:
+        ref_perp, ref_feas = full_grid_objectives(pairs, norm.of_rows, sep, m, 100.0)
+        for fn, ref in ((S._perp_objective(E, m, 100.0), ref_perp),
+                        (S._feasibility_objective(E, m), ref_feas)):
+            assert fn(X).tobytes() == ref(X).tobytes(), m
+        near = int(np.sum(gap < m + 1e-12))
+        assert scored[-2:] == [near, near] and 0 < near < X.shape[0]
+        assert np.any(np.minimum(np.abs(gap - m), np.abs(gap - m - 1e-12)) <= 1.01e-13)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_complex_euclidean_separation_is_the_closed_form(weighted):
+    E, X = _candidate_rows("complex", 2.0, weighted)
+    norm = E.ambient.norm
+    U, V, _ = S._normalized_pairs(E, X)
+    sep = S._sep_rows_coarse(U, V, norm, "complex", refine=True)
+    grid = grid_separations(U, V, norm.of_rows, S._SEP_GRID, S._SEP_REFINE)
+    for u, v, s in zip(U, V, sep):
+        exact = closed_form_l2_distance(u, v, norm.weights)
+        assert abs(s - exact) <= 1e-15 * (norm(u) + norm(v))
+    assert np.all(sep <= grid)
