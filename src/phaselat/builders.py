@@ -196,9 +196,10 @@ def adp_to_spr_violation(u, v, norm, field="complex"):
         )
     # f1 - g1 equals 2 mu times the smaller-H-norm input, so orthogonality
     # forces num >= 2||small||_H / K; the floor is sqrt(2) exactly when the
-    # fit reaches the John bound.  distortion_K is a scanned maximum that
-    # can miss narrow ridge spikes by ~1e-5 relative, so the consistency
-    # guard budgets 1e-4 for scan resolution
+    # fit reaches the John bound.  distortion_K is exact at p in {2, inf}
+    # and at real p = 1, but a scanned maximum at real p = 3 and complex
+    # p in {1, 3}, which can miss narrow ridge spikes by ~1e-5 relative, so
+    # the consistency guard budgets 1e-4 for scan resolution
     small = u if aligned.swapped else v
     num_floor = 2.0 * H.norm_h(small) / H.distortion_K
     if num < num_floor * (1.0 - 1e-4):

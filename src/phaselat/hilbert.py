@@ -10,33 +10,27 @@ the pair orthogonal in the fitted inner product without increasing the
 pointwise modulus gap.  A weighted 2-norm is already Hilbert and gets its
 exact form, Gram = B^H W B with K = 1.  Otherwise the fit computes the
 minimum-volume centered ellipsoid enclosing the span's unit ball and
-rescales it so the lower sandwich bound is met with equality at the worst
-point found.  One exchange grows every ellipsoid: each round solves it on
-a few rows only, keeps its support, and adds the body's farthest point,
-until that point is enclosed to 3e-10.  Each solve is exact: the KKT
-conditions are solved over every support of at most 3 (real) or 4
-(complex) rows in one batch, so the ellipsoid encloses its rows to
-rounding.  A pair far from unit scale is fitted scaled by a power of two.
+rescales it so the lower sandwich bound is met with equality.  Every pair
+is fitted at unit scale, scaled by the power of two that puts its larger
+norm in [1/2, 1), so K does not depend on the pair's scale.
 
-The exchange has two bodies.  At p = inf it is the unit ball itself,
-{c : w_k |b_k . c| <= 1}, cut out by the basis rows, so a form's maximum
-on it lies at an extreme point where two rows are active; those
-candidates are enumerated over a small active row set grown by
-constraint generation.  Sup-norm fits are therefore exact: the maximum
-ratio is the exchange's last value, and the minimum has the closed form
-1 / max_k w_k sqrt(b_k Q^-1 b_k^H).
-
-At p in {1, 3} the body is a fixed grid of the coefficient sphere,
-normalized in the lattice norm once per fit, in blocks of at most 2^20
-entries.  The support is then slid onto the true contact points, and the
-extrema of the ratio ||x||_H / ||x|| are located on the same grid and
-polished.  One grid per field and the random sphere sample are fixed
-module constants.  On the real circle each candidate gets a bounded
-Brent search.  On the complex sphere every polish of one scan (its grid
-starts and, while the support is refined, one start per support point)
-runs as one batch of _polish_complex: Newton steps from central
-differences in a pole-free chart, kept inside flat curved valleys, with
-a poll that finishes at the cone tips of p = 1 norms.
+One exchange grows every ellipsoid: each round solves it exactly on a few
+rows (the KKT conditions over every support of at most 3 real or 4
+complex rows, in one batch), keeps its support, and appends the body's
+farthest point, until that point is enclosed to 3e-10.  It has three
+bodies.  At p = inf the unit ball {c : w_k |b_k . c| <= 1}, whose
+farthest point is an extreme point where two rows are active, found by
+constraint generation.  At real p = 1 the unit ball's polygon, whose
+farthest point is a vertex.  These two are exact: the maximum ratio is the
+exchange's last value and the minimum is 1 / max_a sqrt(a Q^-1 a^H) over
+the dual ball's vertices a, so distortion_K is exact at p in {2, inf} and
+at real p = 1.  Otherwise the body is a fixed grid of the coefficient
+sphere, normalized in the lattice norm once per fit; the support is then
+slid onto the true contact points, and both extrema of the ratio are
+scanned on the grid and polished: on the real circle by a bounded Brent
+search per candidate, on the complex sphere by one batch of
+_polish_complex (Newton steps in a pole-free chart, with a poll that
+finishes at the cone tips of p = 1 norms).
 """
 
 import functools
@@ -118,8 +112,9 @@ class HilbertForm:
 
     ``gram`` is Hermitian positive definite; ``inner(x, y)`` evaluates
     coeffs(y)^H . gram . coeffs(x), so it is linear in x and conjugate
-    linear in y.  ``distortion_K`` is the measured equivalence constant
-    against the lattice norm the form was fitted to.
+    linear in y.  ``distortion_K`` is the equivalence constant against the
+    lattice norm the form was fitted to: exact at p in {2, inf} and at real
+    p = 1, measured by the fit's scans otherwise.
     """
 
     f: np.ndarray
@@ -488,31 +483,26 @@ def _exchange(P, farthest):
         converged = val - 1.0 <= 3e-10
         if converged or rounds == 59:
             return Q, P, val, converged
-        P = _merge_close(np.vstack([P, c]))
+        P = np.vstack([P, c])
 
 
-def _merge_close(P, gap=1e-5):
-    # projective duplicates add nothing to the enclosure; keep the first
-    sq = [float(np.real(np.vdot(c, c))) for c in P]
-    keep = []
-    for i in range(P.shape[0]):
-        if all(sq[i] + sq[k] - 2.0 * abs(complex(np.vdot(P[k], P[i]))) > gap * gap
-               for k in keep):
-            keep.append(i)
-    return P[keep]
+def _fixed_rows(rows):
+    # the exchange's farthest point of a body given by finitely many rows
+    def farthest(Q):
+        r = _quad_rows(Q, rows)
+        j = int(np.argmax(r))
+        return r[j], rows[j]
+    return farthest
 
 
 def _refine_support(Q, P, basis, norm, field, lat):
     """Slide the support set P of Q onto the body's true contact points.
 
-    Appending grid violators alone piles near-duplicates next to each
-    off-grid contact point and closes the gap at a crawl.  Instead each
-    round local-maximizes the current ratio from every support point and
-    adds the moved points alongside the originals; the next solve's
-    support drops whichever copies went stale.  Bodies with
-    near-degenerate contact arcs never settle on a finite support, so the
-    best enclosure seen wins and two non-improving rounds end the chase.
-    lat holds the grid's lattice norms.
+    Each round local-maximizes the current ratio from every support point
+    and appends the moved points; the next solve's support drops whichever
+    copies went stale.  Bodies with near-degenerate contact arcs never
+    settle on a finite support, so the best enclosure seen wins and two
+    non-improving rounds end the chase.  lat holds the grid's lattice norms.
     """
     best_hi, best_Q = np.inf, Q
     stall = 0
@@ -534,7 +524,7 @@ def _refine_support(Q, P, basis, norm, field, lat):
             break
 
         # at most D support rows plus D + 1 moved ones: m <= 9
-        P = _merge_close(np.vstack([P, new]))
+        P = np.vstack([P, new])
         Q, w = _mvee_centered(P)
         P = P[w > 1e-12]
     return best_Q, best_hi
@@ -614,45 +604,65 @@ def _sup_ball_max(A, Q, R):
     raise CertificateError("sup-norm ball maximum did not settle on a row set")
 
 
+def _polygon(A):
+    """Vertices and edge rows of the real unit ball {c : sum_i |a_i . c| <= 1}.
+
+    Each nonzero row, turned to a_i . (cos t, sin t) = |a_i| sin(t - theta_i)
+    with theta_i in [0, pi), changes sign once on [0, pi); so with the rows
+    sorted by theta_i, the edge row of the arc after theta_k is the sum of
+    the first k rows minus the rest, one cumulative sum for all of them.
+    The vertex at theta_k is (cos theta_k, sin theta_k), scaled by its edge
+    row.  Every sign pattern is bounded by the norm, so misordered ties
+    never overstate the dual ball.  Returns (vertices, edge rows).
+    """
+    A = A[np.any(A != 0.0, axis=1)]
+    A = np.where(((A[:, 0] > 0.0) | ((A[:, 0] == 0.0) & (A[:, 1] < 0.0)))[:, None], -A, A)
+    A = A[np.argsort(np.mod(np.arctan2(A[:, 1], A[:, 0]) - 0.5 * np.pi, np.pi))]
+    E = 2.0 * np.cumsum(A, axis=0) - A.sum(axis=0)
+    V = np.stack([A[:, 1], -A[:, 0]], axis=1)
+    return V / np.einsum("ij,ij->i", E, V)[:, None], E
+
+
+def _dual_min(Q, A):
+    # least ratio ||c||_Q / ||B c|| when the norm's dual ball is the hull
+    # of the rows +-A: 1 / max_a sqrt(a Q^-1 a^H)
+    try:
+        Q_inv = np.linalg.inv(Q)
+    except np.linalg.LinAlgError:
+        raise FitDistortionError("fitted ellipsoid is singular") from None
+    top = float(np.max(_quad_rows(Q_inv, np.conj(A))))
+    return 1.0 / math.sqrt(top) if top > 0.0 else 0.0
+
+
 def _fit_ellipsoid(basis, norm, field):
     """Gram matrix and measured distortion of the rescaled enclosing ellipsoid.
 
-    One exchange (_exchange) grows the enclosure from nine spread rows of
-    the field's grid, with one of two bodies.  At p = inf the body is the
-    exact unit ball, whose farthest point comes from its extreme points
-    (_sup_ball_max), so the ratio's maximum is exact, and its minimum is
-    1 / max_k w_k sqrt(b_k Q^-1 b_k^H) in closed form.  At p in {1, 3} the
-    body is the normalized grid; the support is then refined and both
-    extrema are scanned.  The fixed random sample measures every fit on
-    top.  A form whose distortion exceeds the limit, or whose minimum
-    ratio is not positive, raises FitDistortionError.
+    One exchange grows the enclosure from nine spread rows of the field's
+    grid, on one of the three bodies of the module docstring; on the grid
+    body the support is then refined and both extrema scanned.  The fixed
+    random sample measures every fit on top.  A form whose distortion
+    exceeds the limit, or whose minimum ratio is not positive, raises
+    FitDistortionError.
     """
     grid = _FIT_GRID[field][1]
     S = list(dict.fromkeys(np.linspace(0, grid.shape[0] - 1, 9).astype(int).tolist()))
-    if norm.p == math.inf:
+    if norm.p == math.inf or (norm.p == 1.0 and field == "real"):
         A = norm._weighted(basis.T).T
         P = grid[S] / norm.of_rows(grid[S] @ basis.T)[:, None]
-        # the ball's row set starts from the rows active at the starts
-        R = np.flatnonzero(np.any(np.abs(P @ A.T) >= 1.0 - 1e-9, axis=0)).tolist()
-        Q, _, val, _ = _exchange(P, lambda Q: _sup_ball_max(A, Q, R))
-        hi = math.sqrt(val)
+        if norm.p == math.inf:
+            # the ball's row set starts from the rows active at the starts
+            R = np.flatnonzero(np.any(np.abs(P @ A.T) >= 1.0 - 1e-9, axis=0)).tolist()
+            farthest = functools.partial(_sup_ball_max, A, R=R)
+        else:
+            V, A = _polygon(A)
+            farthest = _fixed_rows(V)
+        Q, _, val, _ = _exchange(P, farthest)
+        hi, lo = math.sqrt(val), _dual_min(Q, A)
         fn = _ratio_fn(basis, norm, Q)
-        try:
-            Q_inv = np.linalg.inv(Q)
-        except np.linalg.LinAlgError:
-            raise FitDistortionError("fitted ellipsoid is singular") from None
-        top = float(np.max(_quad_rows(Q_inv, np.conj(A))))
-        lo = 1.0 / math.sqrt(top) if top > 0.0 else 0.0
     else:
         lat = _lattice_norms(grid, basis, norm)
         rows = grid / lat[:, None]
-
-        def farthest(Q):
-            r = _quad_rows(Q, rows)
-            j = int(np.argmax(r))
-            return r[j], rows[j]
-
-        Q, support, _, _ = _exchange(rows[S], farthest)
+        Q, support, _, _ = _exchange(rows[S], _fixed_rows(rows))
         # downstream certificates pay any off-grid excess one for one, so
         # the contact set is refined continuously; the measured K stays
         # honest even if the refinement exits on its round cap
@@ -672,31 +682,16 @@ def _fit_ellipsoid(basis, norm, field):
     return Q / lo**2, distortion
 
 
-# a pair whose larger norm lies in [2^-64, 2^64] is fitted as given; the
-# ellipsoid's row features scale with the fourth power of the pair
-_FIT_RANGE = 2.0 ** 64
-
-
-def _fit_exponent(basis, norm):
-    """Exponent e such that 2^-e basis is fitted in range: 0 inside it."""
-    s = max(norm(basis[:, 0]), norm(basis[:, 1]))
-    if 1.0 / _FIT_RANGE <= s <= _FIT_RANGE:
-        return 0
-    # the largest entry first, so the norms of the scaled pair are finite
-    e = unit_exponent(basis)
-    scaled = ldexp(basis, -e)
-    return e + int(np.frexp(max(norm(scaled[:, 0]), norm(scaled[:, 1])))[1])
-
-
 def fit_hilbert_norm(f, g, norm, field="complex"):
     """Fit a Hilbert norm on span{f, g} equivalent to the lattice norm.
 
     Returns a HilbertForm whose norm satisfies
     ||x|| <= ||x||_H <= distortion_K * ||x|| on the span, with
     distortion_K <= sqrt(2) up to solver tolerance; a weighted 2-norm gets
-    its own Gram matrix B^H W B and distortion_K = 1, and at p = inf
-    distortion_K is exact up to rounding.  A pair far from unit scale is
-    fitted scaled by a power of two, and its Gram matrix scaled back.
+    its own Gram matrix B^H W B and distortion_K = 1.  distortion_K is
+    exact up to rounding at p in {2, inf} and at real p = 1, and measured
+    otherwise.  The pair is fitted scaled by a power of two to unit scale,
+    and its Gram matrix scaled back.
     Raises DependentVectorsError for (numerically) dependent inputs,
     FitDistortionError if the measured distortion lands above the
     sqrt(2) + 0.05 threshold, and InputError if the Gram matrix is out of
@@ -706,8 +701,12 @@ def fit_hilbert_norm(f, g, norm, field="complex"):
     g = as_vector(g, field)
     check_same_dim(f, g)
     basis = np.stack([f, g], axis=1)
-    e = _fit_exponent(basis, norm)
-    scaled = ldexp(basis, -e) if e else basis
+    # fit at unit scale: the largest entry first, so the norms are finite,
+    # then the larger norm in [1/2, 1)
+    e = unit_exponent(basis)
+    scaled = ldexp(basis, -e)
+    e += int(np.frexp(max(norm(scaled[:, 0]), norm(scaled[:, 1])))[1])
+    scaled = ldexp(basis, -e)
     require_independent(
         scaled, DependentVectorsError("basis vectors are numerically dependent")
     )
@@ -718,11 +717,10 @@ def fit_hilbert_norm(f, g, norm, field="complex"):
     else:
         gram, distortion = _fit_ellipsoid(scaled, norm, field)
     gram = 0.5 * (gram + np.conj(gram.T))
-    if e:
-        with np.errstate(over="ignore", under="ignore"):
-            gram = ldexp(gram, 2 * e)
-        if not (np.all(np.isfinite(gram)) and np.diag(gram).real.min() >= np.finfo(float).tiny):
-            raise InputError("the fitted Gram matrix is outside the float range")
+    with np.errstate(over="ignore", under="ignore"):
+        gram = ldexp(gram, 2 * e)
+    if not (np.all(np.isfinite(gram)) and np.diag(gram).real.min() >= np.finfo(float).tiny):
+        raise InputError("the fitted Gram matrix is outside the float range")
     if field == "real":
         gram = gram.real
     return HilbertForm(

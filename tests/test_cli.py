@@ -143,6 +143,22 @@ def test_reduce_closed_form_pair(tmp_path, capsys):
     assert all(doc["checks"].values())
 
 
+def test_reduce_pair_with_large_entries(tmp_path, capsys):
+    # a real l3 pair with entries about 1e6 is fitted at unit scale, so it
+    # reduces like the same pair scaled down by 1e6
+    pair = [[1.3, -0.4, 2.1], [0.5, 1.7, -0.9]]
+    K = []
+    for s in (1e6, 1.0):
+        doc = {"ambient_dim": 3, "field": "real", "norm": {"p": 3},
+               "pair": [[s * x for x in row] for row in pair]}
+        code, out, err = _run(capsys, ["reduce", _problem(tmp_path, "l3.json", doc), "--json"])
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert all(doc["checks"].values())
+        K.append(doc["distortion_K"])
+    assert K[0] == pytest.approx(K[1], rel=1e-8)
+
+
 def test_build_adp2spr_payload(tmp_path, capsys):
     f = _problem(tmp_path, "adp3.json", ADP3)
     code, out, _ = _run(capsys, ["build", "adp2spr", f, "--json"])
