@@ -51,11 +51,6 @@ __all__ = [
 M_RANGE_MAX = 1.0 / SQRT2 - 0.5
 
 
-def _m_of_theta(theta):
-    w = 1.0 - theta
-    return w / SQRT2 + np.sqrt(1.0 + w * w) / (2.0 * SQRT2) - 1.0
-
-
 def delta_of_m(m):
     """Coefficient-sphere floor parameter: sqrt(1 - d^2) - d = d m / 2."""
     return 1.0 / math.sqrt(1.0 + (1.0 + 0.5 * m) ** 2)
@@ -65,9 +60,15 @@ def delta_of_m(m):
 class BuilderParams:
     """Derived constants shared by the perpendicular-pair constructions.
 
-    theta inverts m = (1-t)/sqrt(2) + sqrt(1+(1-t)^2)/(2 sqrt(2)) - 1,
-    which is strictly decreasing on (0, 1); C_required carries a 1.01
-    factor so the strict inequality survives floating arithmetic.
+    theta inverts m = w/sqrt(2) + sqrt(1 + w^2)/(2 sqrt(2)) - 1, w = 1 - theta,
+    in closed form.  With a = 1 + m, squaring sqrt(1 + w^2) = 2 sqrt(2) a - 2w
+    gives 3w^2 - 8 sqrt(2) a w + 8a^2 - 1 = 0, whose one root below sqrt(2) a
+    is w = (4 sqrt(2) a - sqrt(8a^2 + 3)) / 3.  Rationalized, with
+    M = M_RANGE_MAX (a = M and 1 + M are the roots of 4a^2 - 4 sqrt(2) a + 1),
+    theta = 4 (M - m)(3 + 2m - sqrt(2)) / (sqrt(8a^2 + 3) + 4 sqrt(2) a - 3),
+    a ratio of positive terms free of cancellation, falling from about 0.22
+    at m = 0 to 0 at m = M.  C_required carries a 1.01 factor so the strict
+    inequality survives floating arithmetic.
     """
 
     m: float
@@ -84,16 +85,9 @@ class BuilderParams:
             )
         if epsilon <= 0.0:
             raise PreconditionError("epsilon must be positive")
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if _m_of_theta(mid) > m:
-                lo = mid
-            else:
-                hi = mid
-        theta = 0.5 * (lo + hi)
-        if abs(_m_of_theta(theta) - m) > 1e-12:
-            raise CertificateError("theta bisection failed to invert m")
+        a = 1.0 + m
+        theta = 4.0 * (M_RANGE_MAX - m) * (3.0 + 2.0 * m - SQRT2) / (
+            math.sqrt(8.0 * a * a + 3.0) + 4.0 * SQRT2 * a - 3.0)
         w = 1.0 - theta
         c_req = 1.01 * max(
             8.0 * SQRT2 / ((1.0 + w * w) * epsilon * epsilon),
@@ -347,8 +341,10 @@ def complex_pr_equivalences(f, g, atol=1e-9):
     """Evaluate the four pointwise phase-retrieval conditions on a pair.
 
     Conditions: (u, v) = (f+g, f-g) share a modulus; |f-g| = |f+g|;
-    Re(f conj g) = 0; |f+g| = (|f|^2 + |g|^2)^(1/2).  They are equivalent,
-    so the four booleans must agree; disagreement raises.  Modulus
+    Re(f conj g) = 0; |f+g| = (|f|^2 + |g|^2)^(1/2).  The first two are
+    the same statement, and as computed the same comparison, since
+    fl(a - b) = -fl(b - a); both fields report it.  The conditions are
+    equivalent, so the booleans must agree; disagreement raises.  Modulus
     comparisons use atol at linear scale and the real-part comparison at
     quadratic scale, matching how rounding propagates through each.
     """
@@ -362,7 +358,6 @@ def complex_pr_equivalences(f, g, atol=1e-9):
     usum = f + g
     vdiff = f - g
     b1 = bool(np.all(np.abs(modulus(usum) - modulus(vdiff)) <= atol * s))
-    b2 = bool(np.all(np.abs(modulus(vdiff) - modulus(usum)) <= atol * s))
     b3 = bool(np.all(np.abs((f * np.conj(g)).real) <= atol * s * s))
     b4 = bool(
         np.all(
@@ -371,8 +366,8 @@ def complex_pr_equivalences(f, g, atol=1e-9):
         )
     )
     verdict = EquivalenceVerdict(
-        same_modulus_pair=b1, sum_diff_modulus=b2, perpendicular=b3, pythagorean=b4
+        same_modulus_pair=b1, sum_diff_modulus=b1, perpendicular=b3, pythagorean=b4
     )
-    if len({b1, b2, b3, b4}) != 1:
+    if len({b1, b3, b4}) != 1:
         raise CertificateError(f"equivalent conditions disagree: {verdict}")
     return verdict

@@ -24,13 +24,15 @@ constraint generation.  At real p = 1 the unit ball's polygon, whose
 farthest point is a vertex.  These two are exact: the maximum ratio is the
 exchange's last value and the minimum is 1 / max_a sqrt(a Q^-1 a^H) over
 the dual ball's vertices a, so distortion_K is exact at p in {2, inf} and
-at real p = 1.  Otherwise the body is a fixed grid of the coefficient
-sphere, normalized in the lattice norm once per fit; the support is then
-slid onto the true contact points, and both extrema of the ratio are
-scanned on the grid and polished: on the real circle by a bounded Brent
-search per candidate, on the complex sphere by one batch of
-_polish_complex (Newton steps in a pole-free chart, with a poll that
-finishes at the cone tips of p = 1 norms).
+at real p = 1, and no row beyond the exchange's starts is measured.
+Otherwise the body is a fixed grid of the coefficient sphere, normalized
+in the lattice norm once per fit; the support is then slid onto the true
+contact points, and both extrema of the ratio are scanned on the grid and
+polished: on the real circle by a bounded Brent search per candidate, on
+the complex sphere by one batch of _polish_complex (Newton steps in a
+pole-free chart, with a poll that finishes at the cone tips of p = 1
+norms).  A fixed random sample of the sphere is measured on top of the
+scans.
 """
 
 import functools
@@ -306,7 +308,7 @@ def _sphere_rows(field, count, seed):
 _COMPLEX_SHAPE = (65, 128)
 _FIT_GRID = {"real": _sphere_grid("real", 4096),
              "complex": _sphere_grid("complex", *_COMPLEX_SHAPE)}
-# the distortion measurement required of every fitted form
+# the safety net of the scanned fits' distortion measurement
 _SAMPLE = {field: _sphere_rows(field, 2048, 182818284) for field in ("real", "complex")}
 
 
@@ -638,11 +640,12 @@ def _fit_ellipsoid(basis, norm, field):
     """Gram matrix and measured distortion of the rescaled enclosing ellipsoid.
 
     One exchange grows the enclosure from nine spread rows of the field's
-    grid, on one of the three bodies of the module docstring; on the grid
-    body the support is then refined and both extrema scanned.  The fixed
-    random sample measures every fit on top.  A form whose distortion
-    exceeds the limit, or whose minimum ratio is not positive, raises
-    FitDistortionError.
+    grid, on one of the three bodies of the module docstring.  On the two
+    exact bodies the extrema come in closed form from the exchange and the
+    dual ball, and no other row is measured.  On the grid body the support
+    is then refined, both extrema scanned, and the fixed random sample
+    measured on top.  A form whose distortion exceeds the limit, or whose
+    minimum ratio is not positive, raises FitDistortionError.
     """
     grid = _FIT_GRID[field][1]
     S = list(dict.fromkeys(np.linspace(0, grid.shape[0] - 1, 9).astype(int).tolist()))
@@ -657,8 +660,8 @@ def _fit_ellipsoid(basis, norm, field):
             V, A = _polygon(A)
             farthest = _fixed_rows(V)
         Q, _, val, _ = _exchange(P, farthest)
+        # both extrema are exact, so a sample could only add rounding
         hi, lo = math.sqrt(val), _dual_min(Q, A)
-        fn = _ratio_fn(basis, norm, Q)
     else:
         lat = _lattice_norms(grid, basis, norm)
         rows = grid / lat[:, None]
@@ -671,9 +674,10 @@ def _fit_ellipsoid(basis, norm, field):
         fn = _ratio_fn(basis, norm, Q)
         scan = _scan_real if field == "real" else _scan_complex
         lo = scan(fn, 1.0, _ratio(Q, grid, lat))[0][0]
-    sample_ratios = fn(_SAMPLE[field])
-    lo = min(lo, float(sample_ratios.min()))
-    hi = max(hi, float(sample_ratios.max()))
+        # the fixed random sample is the scans' safety net
+        sample_ratios = fn(_SAMPLE[field])
+        lo = min(lo, float(sample_ratios.min()))
+        hi = max(hi, float(sample_ratios.max()))
     distortion = hi / lo if lo > 0.0 else math.inf
     if not distortion <= DISTORTION_LIMIT:
         raise FitDistortionError(
@@ -803,7 +807,11 @@ def orthogonal_reduce(f, g, H, mu=1.0):
 
     Requires <f, g>_H real and nonnegative, as align_pair produces.  R
     is the smaller root of S R^2 - S R + <f,g>_H with S = ||f+g||_H^2, so
-    R lies in [0, 1/2].  Postconditions are asserted, not trusted:
+    R lies in [0, 1/2].  It is taken as 2<f,g>_H / (S (1 + sqrt(disc)))
+    with disc = (S - 4<f,g>_H) / S, which loses no digits to cancellation:
+    the sum in the denominator has no cancellation for any <f,g>_H, and
+    S - 4<f,g>_H is exact near the double root, where 4<f,g>_H is within a
+    factor 2 of S.  Postconditions are asserted, not trusted:
     orthogonality within 1e-10 relative, coordinatewise modulus-gap
     domination within 1e-12, and difference preservation to the last
     few representable bits.
@@ -824,19 +832,16 @@ def orthogonal_reduce(f, g, H, mu=1.0):
         raise PreconditionError(f"inner product not real: Im = {q.imag:.3e}")
     if q.real < -1e-8 * scale:
         raise PreconditionError(f"inner product negative: {q.real:.3e}")
-    qr = max(q.real, 0.0)
+    qr = q.real if q.real > 0.0 else 0.0
     S = max(_quad(H.gram, cf + cg), 0.0)
     if S <= 1e-30:
         raise DependentVectorsError("f + g vanishes in the fitted norm")
-    disc = 1.0 - 4.0 * qr / S
+    disc = (S - 4.0 * qr) / S
     if disc < -1e-9:
         raise PreconditionError(f"discriminant {disc:.3e} < 0; 4<f,g> > S")
-    R = 0.5 * (1.0 - np.sqrt(max(disc, 0.0)))
-    # one Newton step on S R^2 - S R + qr sharpens R near the midpoint
-    dphi = S * (2.0 * R - 1.0)
-    if abs(dphi) > 1e-30:
-        R = R - (qr - R * S + R * R * S) / dphi
-    R = float(min(max(R, 0.0), 0.5))
+    # (1 - sqrt(disc)) / 2 rationalized; qr >= 0 makes R >= 0, and the cap
+    # holds R at 1/2 for a disc in [-1e-9, 0)
+    R = min(2.0 * qr / (S * (1.0 + math.sqrt(max(disc, 0.0)))), 0.5)
 
     t = R * (f + g)
     f1 = f - t

@@ -133,25 +133,17 @@ class PRVerdict:
 
 def _normalize_halves(X, da):
     X = np.array(X, dtype=float)
-    na = np.linalg.norm(X[:, :da], axis=1)
-    nb = np.linalg.norm(X[:, da:], axis=1)
-    keep = (na > 1e-30) & (nb > 1e-30)
-    X = X[keep]
-    X[:, :da] /= na[keep, None]
-    X[:, da:] /= nb[keep, None]
-    return X, keep
+    X[:, :da] /= np.linalg.norm(X[:, :da], axis=1)[:, None]
+    X[:, da:] /= np.linalg.norm(X[:, da:], axis=1)[:, None]
+    return X
 
 
 def _normalize_joint(X, da):
     # rescale whole rows only: the relative scale of the two halves is a
     # genuine degree of freedom for the ratio objective
     X = np.array(X, dtype=float)
-    # a zero row has no direction; any other row, at any scale, has one
-    n = np.linalg.norm(X, axis=1)
-    keep = n > 0.0
-    X = X[keep]
-    X /= n[keep, None] / math.sqrt(2.0)
-    return X, keep
+    X /= np.linalg.norm(X, axis=1)[:, None] / math.sqrt(2.0)
+    return X
 
 
 def _pattern_search(objective, X0, da, max_sweeps, delta_min=1e-12, plateau=None,
@@ -161,18 +153,21 @@ def _pattern_search(objective, X0, da, max_sweeps, delta_min=1e-12, plateau=None
     Every restart keeps its own point, value, step, sweep count and stop
     flag, and a sweep scores the 2d candidates of all live restarts in one
     ``objective`` call (lower is better, NaN is +inf; a row's value must
-    not depend on its batch).  ``project`` returns the cleaned rows and
-    their keep mask; the default restricts to two unit coefficient spheres.
-    A restart starts at step _DELTA0, takes its first least candidate if
-    it beats its value by 1e-15 and halves its step otherwise, and stops
-    after ``max_sweeps``, at ``delta_min``, on a non-finite value, or when
-    a scored sweep leaves its step below ``plateau(values)``.  Returns
-    (X, values, sweeps).
+    not depend on its batch).  ``project`` maps rows onto the search
+    space, by default two unit coefficient spheres; each start needs
+    nonzero halves (a nonzero row for a joint projection).  A restart
+    starts at step _DELTA0, takes its first least candidate if it beats
+    its value by 1e-15 and halves its step otherwise, and stops after
+    ``max_sweeps``, at ``delta_min``, on a non-finite value, or when a
+    sweep leaves its step below ``plateau(values)``.  A step moves one
+    coordinate by at most _DELTA0 = 0.35, so a moved unit half keeps norm
+    >= 0.65 and a moved row of norm sqrt(2) at least sqrt(2) - 0.35: no
+    candidate is projected from zero.  Returns (X, values, sweeps).
     """
     project = project or _normalize_halves
     # start points and values one row at a time, as a serial run takes
     # them: a one-row batch takes another matmul path
-    X = np.vstack([project(x0[None, :], da)[0][0] for x0 in X0])
+    X = np.vstack([project(x0[None, :], da) for x0 in X0])
     fx = np.array([objective(x[None, :])[0] for x in X])
     fx[np.isnan(fx)] = math.inf
     R, dim = X.shape
@@ -183,24 +178,19 @@ def _pattern_search(objective, X0, da, max_sweeps, delta_min=1e-12, plateau=None
     while live.any():
         idx = np.flatnonzero(live)
         sweeps[idx] += 1
-        cands, keep = project((X[idx, None, :] + delta[idx, None, None] * steps)
-                              .reshape(-1, dim), da)
-        vals = np.full(keep.shape, math.inf)
-        if cands.shape[0]:
-            vals[keep] = objective(cands)
-        vals[np.isnan(vals)] = math.inf
-        vals = vals.reshape(idx.size, 2 * dim)
-        pick = (np.arange(idx.size), vals.argmin(axis=1))
-        bv = vals[pick]
+        cands = project((X[idx, None, :] + delta[idx, None, None] * steps)
+                        .reshape(-1, dim), da)
+        vals = objective(cands).reshape(idx.size, 2 * dim)
+        vals = np.where(np.isnan(vals), math.inf, vals)
+        j = vals.argmin(axis=1)
+        bv = vals[np.arange(idx.size), j]
         up = bv < fx[idx] - 1e-15
-        row = (np.cumsum(keep) - 1).reshape(vals.shape)[pick]
-        X[idx[up]] = cands[row[up]]
+        X[idx[up]] = cands.reshape(idx.size, 2 * dim, dim)[up, j[up]]
         fx[idx[up]] = bv[up]
         delta[idx[~up]] *= 0.5
         done = up & ~np.isfinite(bv)
         if plateau is not None:
-            scored = keep.reshape(vals.shape).any(axis=1)
-            done |= scored & (delta[idx] < plateau(fx[idx]))
+            done |= delta[idx] < plateau(fx[idx])
         live[idx] = ~done & (sweeps[idx] < max_sweeps) & (delta[idx] > delta_min)
     return X, fx, sweeps
 

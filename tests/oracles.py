@@ -137,9 +137,9 @@ def serial_pattern_search(objective, x0, da, max_sweeps, project, delta0=0.35,
 
     The reference for the lockstep search: it is the one-restart loop the
     library ran before its restarts were batched.  ``project`` returns the
-    cleaned rows and their keep mask.  Returns (x, value, sweeps).
+    projected rows.  Returns (x, value, sweeps).
     """
-    x = project(x0[None, :], da)[0][0]
+    x = project(x0[None, :], da)[0]
     fx = float(objective(x[None, :])[0])
     if np.isnan(fx):
         fx = np.inf
@@ -149,10 +149,7 @@ def serial_pattern_search(objective, x0, da, max_sweeps, project, delta0=0.35,
     eye = np.eye(dim)
     while sweeps < max_sweeps and delta > delta_min:
         sweeps += 1
-        cands = project(np.vstack([x + delta * eye, x - delta * eye]), da)[0]
-        if cands.shape[0] == 0:
-            delta *= 0.5
-            continue
+        cands = project(np.vstack([x + delta * eye, x - delta * eye]), da)
         vals = objective(cands)
         best = int(np.nanargmin(vals)) if not np.all(np.isnan(vals)) else -1
         if best >= 0 and vals[best] < fx - 1e-15:

@@ -54,6 +54,24 @@ def test_builder_params_frozen_values():
     assert params.C_required == pytest.approx(expected_c, rel=1e-12)
 
 
+def test_theta_closed_form_inverts_m():
+    # a dense grid of m over (0, M_RANGE_MAX), its ends included: theta
+    # back-substitutes into the defining identity to rounding, stays in
+    # (0, 1) and strictly decreases, and no m raises
+    ms = np.unique(np.concatenate([
+        np.linspace(0.0, M_RANGE_MAX, 20001)[1:-1],
+        np.geomspace(1e-12, 1e-3, 200),
+        M_RANGE_MAX - np.geomspace(1e-9, 1e-3, 200),
+    ]))
+    assert ms[0] == 1e-12 and ms[-1] == M_RANGE_MAX - 1e-9
+    theta = np.array([BuilderParams.from_m_eps(float(m), 0.1).theta for m in ms])
+    w = 1.0 - theta
+    m_back = w / math.sqrt(2.0) + np.sqrt(1.0 + w * w) / (2.0 * math.sqrt(2.0)) - 1.0
+    assert np.max(np.abs(m_back - ms)) <= 4e-16
+    assert np.all((theta > 0.0) & (theta < 1.0))
+    assert np.all(np.diff(theta) < 0.0)
+
+
 def test_m_theta_endpoints():
     # theta=0 corresponds to the top of the admissible m range
     assert M_RANGE_MAX == pytest.approx(1.0 / math.sqrt(2.0) - 0.5, abs=1e-15)

@@ -1,5 +1,6 @@
 """Hilbert norm fitting, alignment, and orthogonal reduction."""
 
+import decimal
 import hashlib
 
 import numpy as np
@@ -264,6 +265,59 @@ def test_reduce_frozen_example():
     assert red.R == pytest.approx(0.25, abs=1e-9)
     np.testing.assert_allclose(red.f_prime, [0.6, -0.2], atol=1e-9)
     np.testing.assert_allclose(red.g_prime, [0.2, 0.6], atol=1e-9)
+
+
+def _reduce_root_reference(f, g, H):
+    # the library's floats q = <f, g>_H and S = ||f + g||_H^2, and the
+    # smaller root of S R^2 - S R + q for them to 50 digits, with its disc
+    cf, cg = H.coeffs(f), H.coeffs(g)
+    q = complex(np.vdot(cg, H.gram @ cf)).real
+    S = hilbert._quad(H.gram, cf + cg)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        disc = (decimal.Decimal(S) - 4 * decimal.Decimal(q)) / decimal.Decimal(S)
+        return q, (1 - max(disc, 0).sqrt()) / 2, disc
+
+
+def _reduce_root_pairs(field):
+    # on forms fitted at p = inf: f = e, g = s e + e' for an H-orthonormal
+    # pair (e, e'), with <f, g>_H / S about s / 2 from 1e-16 to 1e-2, and
+    # f, g = e +- b e', with disc = b^2 from 1e-5 to 1e-2
+    rng = np.random.default_rng([61, field == "complex"])
+    for _ in range(4):
+        H = fit_hilbert_norm(random_vec(rng, 5, field), random_vec(rng, 5, field),
+                             NormSpec(np.inf), field=field)
+        E = np.stack(H.basis, axis=1) @ np.linalg.inv(np.conj(np.linalg.cholesky(H.gram).T))
+        e, e2 = E[:, 0], E[:, 1]
+        for s in np.geomspace(2e-16, 2e-2, 30):
+            yield H, e, s * e + e2
+        for b in np.geomspace(3e-3, 1e-1, 12):
+            yield H, e + b * e2, e - b * e2
+    # on the Euclidean plane, f, g = (1, +-2^-k): q and S are exact and so
+    # is the reduced pair, down to disc = 2^-52
+    H = fit_hilbert_norm([1.0, 0.0], [0.0, 1.0], NormSpec(2.0), field=field)
+    for k in range(1, 27):
+        yield H, np.array([1.0, 2.0 ** -k]), np.array([1.0, -(2.0 ** -k)])
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_reduce_root_matches_a_50_digit_reference(field):
+    # R within 4 ulp of the smaller root for the library's own q and S,
+    # both for <f, g>_H tiny against S and near the double root 4q = S;
+    # the orthogonality postcondition holds on every reduced pair
+    checked = 0
+    for H, f, g in _reduce_root_pairs(field):
+        red = orthogonal_reduce(f, g, H)
+        q, ref, disc = _reduce_root_reference(f, g, H)
+        if q <= 0.0:
+            assert red.R == 0.0
+        elif disc >= decimal.Decimal("1e-8"):
+            err = abs(decimal.Decimal(red.R) - ref)
+            assert err <= 4 * decimal.Decimal(np.spacing(float(ref))), (q, disc, red.R)
+            checked += 1
+        resid = abs(complex(H.inner(red.f_prime, red.g_prime)))
+        assert resid <= 1e-10 * H.norm_h(red.f_prime) * H.norm_h(red.g_prime)
+    assert checked >= 150
 
 
 def test_reduce_orthogonal_pair_is_identity():
@@ -594,9 +648,10 @@ def test_fit_outputs_are_frozen(field, digest):
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
-def test_sup_norm_fit_measures_only_its_starts_and_the_sample(monkeypatch, field):
-    # the exact exchange starts from nine grid rows; only those and the
-    # 2048-row distortion sample are ever measured in the lattice norm
+def test_exact_fit_measures_only_its_starts(monkeypatch, field):
+    # at p = inf, and at real p = 1, the exact exchange starts from nine
+    # grid rows and takes both extrema in closed form: only those nine are
+    # ever measured in the lattice norm, and no distortion sample
     rows = []
     of_rows = NormSpec.of_rows
 
@@ -606,11 +661,30 @@ def test_sup_norm_fit_measures_only_its_starts_and_the_sample(monkeypatch, field
 
     monkeypatch.setattr(NormSpec, "of_rows", count)
     rng = np.random.default_rng(51)
-    for n, w in ((3, None), (7, rng.uniform(0.5, 2.0, 7)), (128, None)):
-        rows.clear()
-        f, g = random_vec(rng, n, field), random_vec(rng, n, field)
-        fit_hilbert_norm(f, g, NormSpec(np.inf, weights=w), field=field)
-        assert sum(rows) <= 9 + 2048
+    for p in (np.inf, 1.0) if field == "real" else (np.inf,):
+        for n, w in ((3, None), (7, rng.uniform(0.5, 2.0, 7)), (128, None)):
+            rows.clear()
+            f, g = random_vec(rng, n, field), random_vec(rng, n, field)
+            fit_hilbert_norm(f, g, NormSpec(p, weights=w), field=field)
+            assert sum(rows) <= 9, (p, n)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_scanned_fit_measures_the_sample(monkeypatch, field):
+    # a p = 3 fit scans a grid, and the fixed random sample stays the
+    # scans' safety net: the fit measures the sample rows themselves
+    measured = []
+    lattice_norms = hilbert._lattice_norms
+
+    def record(rows, basis, norm):
+        measured.append(rows is hilbert._SAMPLE[field])
+        return lattice_norms(rows, basis, norm)
+
+    monkeypatch.setattr(hilbert, "_lattice_norms", record)
+    rng = np.random.default_rng(52)
+    f, g = random_vec(rng, 5, field), random_vec(rng, 5, field)
+    fit_hilbert_norm(f, g, NormSpec(3.0), field=field)
+    assert sum(measured) == 1
 
 
 def _conditioned_pair(rng, n, field, cond):

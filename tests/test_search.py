@@ -265,19 +265,10 @@ _PLATEAU = {
     "disjoint": lambda f: 1e-14,
     "feasibility": lambda f: np.where(f <= 0.0, np.inf, 0.0),
     "perp": lambda f: 1e-4 * np.minimum(np.maximum(f, 1e-10), 1.0),
-    "drop": lambda f: 0.01,
 }
 
 
-def _far_out_dropped(X, da):
-    # keeps a start row, and drops every candidate of a restart that
-    # starts at first coordinate 100
-    keep = (X[:, 0] < 10.0) | (X.shape[0] == 1)
-    return X[keep], keep
-
-
-@pytest.mark.parametrize("kind", ["ratio", "full_ratio", "disjoint", "feasibility",
-                                  "perp", "drop"])
+@pytest.mark.parametrize("kind", ["ratio", "full_ratio", "disjoint", "feasibility", "perp"])
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_lockstep_pattern_search_matches_serial(field, p, kind):
@@ -302,9 +293,6 @@ def test_lockstep_pattern_search_matches_serial(field, p, kind):
         objective = S._perp_objective(E, 0.1, 100.0)
     else:
         objective = S._disjoint_objective(E)
-    if kind == "drop":
-        X0[[1, 3], 0] = 100.0
-        project = _far_out_dropped
 
     X, fx, sweeps = S._pattern_search(objective, X0, da, 60, plateau=plateau,
                                       project=project)
@@ -318,11 +306,6 @@ def test_lockstep_pattern_search_matches_serial(field, p, kind):
     elif kind == "feasibility":
         # the plateau test stops a restart once it is feasible
         assert np.any((fx == 0.0) & (sweeps < 39))
-    elif kind == "drop":
-        # no candidate ever: the step halves down to 1e-12, with no
-        # plateau stop, while the other restarts stop on the plateau
-        assert list(sweeps[[1, 3]]) == [39, 39] and np.array_equal(X[[1, 3]], X0[[1, 3]])
-        assert sweeps.max(initial=0, where=X0[:, 0] < 10.0) < 39
 
 
 def _digest(*arrays):
@@ -506,7 +489,7 @@ def _candidate_rows(field, p, weighted, real_span=False, count=240):
     X = rng.standard_normal((count, 2 * da))
     if real_span and field == "complex":
         X[count // 2:, 2:da] = X[count // 2:, da + 2:] = 0.0
-    return E, S._normalize_halves(X, da)[0]
+    return E, S._normalize_halves(X, da)
 
 
 @pytest.mark.parametrize("weighted", [False, True])
