@@ -54,6 +54,7 @@ from .lattice import (
     check_same_dim,
     ldexp,
     require_independent,
+    row_tiles,
     unit_exponent,
 )
 
@@ -239,22 +240,19 @@ def _mvee_centered(C):
     return Q, u / u.sum()
 
 
-# a lattice-norm evaluation holds at most this many entries per block
-_BLOCK = 2 ** 20
-
-
 def _ratio(Q, rows, lat):
     # ||c||_Q / ||B c|| on coefficient rows whose lattice norms are lat
     return np.sqrt(np.maximum(_quad_rows(Q, rows), 0.0)) / lat
 
 
 def _lattice_norms(rows, basis, norm):
-    # norm.of_rows(rows @ basis.T), evaluated in blocks of rows
-    step = max(1, _BLOCK // basis.shape[0])
-    if len(rows) <= step:
+    # norm.of_rows(rows @ basis.T), evaluated in tiles of rows
+    # (lattice.row_tiles, at least two rows each, as the product is BLAS's)
+    tiles = row_tiles(len(rows), basis.shape[0] * np.result_type(rows, basis).itemsize,
+                      least=2)
+    if len(tiles) == 1:
         return norm.of_rows(rows @ basis.T)
-    return np.concatenate([norm.of_rows(rows[i:i + step] @ basis.T)
-                           for i in range(0, len(rows), step)])
+    return np.concatenate([norm.of_rows(rows[s] @ basis.T) for s in tiles])
 
 
 def _ratio_fn(basis, norm, Q):

@@ -85,6 +85,30 @@ def require_independent(mat, err):
         raise err
 
 
+# the largest temporary array a batched evaluation builds: 256 KiB, which
+# is 2^15 float64 or 2^14 complex128 entries.  Blocks of this size stay in
+# the L2 cache and mostly come back from the heap; a fresh 8 MiB phase grid
+# cost about a thousand minor page faults per call, more than its arithmetic
+_TILE_BYTES = 1 << 18
+
+
+def row_tiles(count, row_bytes, least=1):
+    """Slices that cut range(count) into near-equal runs of consecutive rows.
+
+    Each run holds at most _TILE_BYTES at row_bytes bytes per row, and at
+    least ``least`` rows, whichever is larger; only a count below
+    ``least`` gives a shorter (single) run.  Callers whose rows go through
+    a BLAS product pass least=2: a one-row product takes the
+    matrix-vector path, which rounds differently.
+    """
+    per = max(_TILE_BYTES // max(row_bytes, 1), least)
+    runs = max(min(-(-count // per), count // least), 1)
+    if runs == 1:
+        return [slice(0, count)]
+    cuts = [count * i // runs for i in range(runs + 1)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
 def meet(x, y):
     """Coordinatewise infimum x ^ y of two real vectors."""
     x, y = np.asarray(x), np.asarray(y)
@@ -247,7 +271,10 @@ class NormSpec:
             # weights squared relative to the largest, so none overflows
             top = float(w.max())
             return top * np.sqrt(_row_max(Q * (w / top) ** 2))
-        return np.sum(self._weighted(Q ** (0.5 * self.p)), axis=1) ** (1.0 / self.p)
+        # Q^(3/2) as Q sqrt(Q): a multiply and a square root cost less
+        # than a general power, and only pick screen brackets
+        P = Q * np.sqrt(Q) if self.p == 3.0 else Q ** (0.5 * self.p)
+        return np.sum(self._weighted(P), axis=1) ** (1.0 / self.p)
 
 
 # rows of at most this many entries are reduced to their maximum column by

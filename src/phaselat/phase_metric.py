@@ -10,13 +10,14 @@ zoomed together in direct form, one batched norm evaluation per round, and
 only the best of them gets a final bounded Brent polish.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .lattice import (InputError, as_vector, check_same_dim, ldexp, modulus,
-                      perp_profile)
+                      perp_profile, row_tiles)
 
 __all__ = ["PhaseAlignment", "RatioReport", "PairWitness",
            "unimodular_distance", "spr_ratio"]
@@ -95,6 +96,18 @@ def euclidean_phases(F, G, norm):
     return lam
 
 
+def _euclidean_phase(f, g, norm):
+    # euclidean_phases for one pair, bit for bit, in Python complex
+    # arithmetic; a sum that needs the rescue takes the batched path
+    w = norm.weights if norm.weights is not None else 1.0
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        ip = complex((w * f * np.conj(g)).sum())
+    mag = abs(ip)
+    if 1e-250 < mag < math.inf:
+        return ip / mag
+    return complex(euclidean_phases(f[None, :], g[None, :], norm)[0])
+
+
 def _unit_rows(X):
     # each row scaled by the power of two that puts its largest real or
     # imaginary part in [1/2, 1), as lattice.unit_exponent does for a vector
@@ -132,9 +145,8 @@ def unimodular_distance(f, g, norm, *, field="complex"):
         # lambda* = phase of <f, g>; evaluating norm(f - lambda* g) by
         # subtraction avoids the cancellation in the norm identity
         # ||f||^2 + ||g||^2 - 2|<f, g>| near colinear pairs
-        lam = euclidean_phases(f[None, :], g[None, :], norm)[0]
-        return PhaseAlignment(distance=float(norm(f - lam * g)),
-                              lambda_star=complex(lam))
+        lam = _euclidean_phase(f, g, norm)
+        return PhaseAlignment(distance=float(norm(f - lam * g)), lambda_star=lam)
     return _grid_distance(f, g, norm)
 
 
@@ -179,7 +191,11 @@ def _grid_values(f, g, norm):
 
     With a_i = |f_i|^2 + |g_i|^2 and c_i = f_i conj(g_i),
     |f_i - e^{it} g_i|^2 = a_i - 2 (cos t Re c_i + sin t Im c_i), so the
-    whole grid is one real (512 x 2) @ (2 x n) product.  f and g are first
+    whole grid is one real (512 x 2) @ (2 x n) product.  The product is
+    taken in tiles of consecutive angles (lattice.row_tiles, at least two
+    angles each), and each tile is reduced to its values at once, so no
+    temporary holds more than 256 KiB; every angle's row is reduced as in
+    one block.  f and g are first
     scaled by the power of two that puts their largest real or imaginary
     part in [1/2, 1), so huge and tiny vectors neither overflow nor
     underflow.  The squares cancel to about sqrt(eps) * (norm(f) + norm(g))
@@ -193,11 +209,16 @@ def _grid_values(f, g, norm):
         raise InputError("phase distance is undefined for non-finite vectors")
     e = int(np.frexp(top)[1])
     fr, fi, gr, gi = np.ldexp(parts, -e)
-    sq = _GRID_COS_SIN @ np.array([fr * gr + fi * gi, fi * gr - fr * gi])
-    sq += fr * fr + fi * fi + gr * gr + gi * gi
-    np.maximum(sq, 0.0, out=sq)
+    c = np.array([fr * gr + fi * gi, fi * gr - fr * gi])
+    a = fr * fr + fi * fi + gr * gr + gi * gi
+    vals = []
     with np.errstate(over="ignore"):
-        vals = np.ldexp(norm.of_squared_rows(sq), e)
+        for s in row_tiles(len(_GRID_COS_SIN), 8 * len(a), least=2):
+            sq = _GRID_COS_SIN[s] @ c
+            sq += a
+            np.maximum(sq, 0.0, out=sq)
+            vals.append(norm.of_squared_rows(sq))
+        vals = np.ldexp(vals[0] if len(vals) == 1 else np.concatenate(vals), e)
     if np.isinf(vals.min()):
         raise InputError("phase distance exceeds the float range")
     return vals

@@ -24,7 +24,8 @@ from functools import partial
 
 import numpy as np
 
-from .lattice import Ambient, InputError, PhaseLatError, as_vector, require_independent
+from .lattice import (Ambient, InputError, PhaseLatError, as_vector, require_independent,
+                      row_tiles)
 from .phase_metric import RATIO_ATOL_SCALE, PairWitness, euclidean_phases, spr_ratio
 
 __all__ = [
@@ -224,6 +225,18 @@ def _normalized_pairs(E, X):
 
 
 def _sep_rows_coarse(U, V, norm, field, refine=False):
+    # _sep_tile on runs of rows whose candidate differences fit one tile
+    if field != "complex":
+        row_bytes = 2 * 8
+    else:
+        row_bytes = (1 if norm.p == 2.0 else len(_SEP_GRID)) * 16
+    tiles = row_tiles(U.shape[0], row_bytes * U.shape[1])
+    if len(tiles) == 1:
+        return _sep_tile(U, V, norm, field, refine)
+    return np.concatenate([_sep_tile(U[s], V[s], norm, field, refine) for s in tiles])
+
+
+def _sep_tile(U, V, norm, field, refine):
     if field != "complex":
         lams = np.array([1.0, -1.0])
         diffs = U[:, None, :] - lams[None, :, None] * V[:, None, :]
