@@ -247,7 +247,8 @@ def _ratio(Q, rows, lat):
 
 def _lattice_norms(rows, basis, norm):
     # norm.of_rows(rows @ basis.T), evaluated in tiles of rows
-    # (lattice.row_tiles, at least two rows each, as the product is BLAS's)
+    # (lattice.row_tiles, at least two rows each, as the product is BLAS's;
+    # at some large n a tile's norms differ from one block's by an ulp)
     tiles = row_tiles(len(rows), basis.shape[0] * np.result_type(rows, basis).itemsize,
                       least=2)
     if len(tiles) == 1:

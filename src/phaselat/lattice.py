@@ -99,7 +99,12 @@ def row_tiles(count, row_bytes, least=1):
     least ``least`` rows, whichever is larger; only a count below
     ``least`` gives a shorter (single) run.  Callers whose rows go through
     a BLAS product pass least=2: a one-row product takes the
-    matrix-vector path, which rounds differently.
+    matrix-vector path, which rounds differently.  Tiling such a product
+    does not keep every bit at every size: OpenBLAS takes its general
+    kernel for a large block and its small-matrix kernel for a tile, and
+    the two can round the last n mod 8 columns of a K = 2 product an ulp
+    apart (seen at n >= 980 with n mod 8 >= 4, and in real fit grids at
+    n = 980 and 1500).
     """
     per = max(_TILE_BYTES // max(row_bytes, 1), least)
     runs = max(min(-(-count // per), count // least), 1)

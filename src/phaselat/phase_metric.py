@@ -10,7 +10,6 @@ zoomed together in direct form, one batched norm evaluation per round, and
 only the best of them gets a final bounded Brent polish.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,18 +95,6 @@ def euclidean_phases(F, G, norm):
     return lam
 
 
-def _euclidean_phase(f, g, norm):
-    # euclidean_phases for one pair, bit for bit, in Python complex
-    # arithmetic; a sum that needs the rescue takes the batched path
-    w = norm.weights if norm.weights is not None else 1.0
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        ip = complex((w * f * np.conj(g)).sum())
-    mag = abs(ip)
-    if 1e-250 < mag < math.inf:
-        return ip / mag
-    return complex(euclidean_phases(f[None, :], g[None, :], norm)[0])
-
-
 def _unit_rows(X):
     # each row scaled by the power of two that puts its largest real or
     # imaginary part in [1/2, 1), as lattice.unit_exponent does for a vector
@@ -145,8 +132,9 @@ def unimodular_distance(f, g, norm, *, field="complex"):
         # lambda* = phase of <f, g>; evaluating norm(f - lambda* g) by
         # subtraction avoids the cancellation in the norm identity
         # ||f||^2 + ||g||^2 - 2|<f, g>| near colinear pairs
-        lam = _euclidean_phase(f, g, norm)
-        return PhaseAlignment(distance=float(norm(f - lam * g)), lambda_star=lam)
+        lam = euclidean_phases(f[None, :], g[None, :], norm)[0]
+        return PhaseAlignment(distance=float(norm(f - lam * g)),
+                              lambda_star=complex(lam))
     return _grid_distance(f, g, norm)
 
 
@@ -194,8 +182,10 @@ def _grid_values(f, g, norm):
     whole grid is one real (512 x 2) @ (2 x n) product.  The product is
     taken in tiles of consecutive angles (lattice.row_tiles, at least two
     angles each), and each tile is reduced to its values at once, so no
-    temporary holds more than 256 KiB; every angle's row is reduced as in
-    one block.  f and g are first
+    temporary holds more than 256 KiB.  A tile's rows are reduced as one
+    block's would be, but its product can differ from one block's by an ulp
+    at some n (see row_tiles); the screen only picks brackets.  f and g are
+    first
     scaled by the power of two that puts their largest real or imaginary
     part in [1/2, 1), so huge and tiny vectors neither overflow nor
     underflow.  The squares cancel to about sqrt(eps) * (norm(f) + norm(g))

@@ -342,23 +342,6 @@ def test_euclidean_phases_match_the_one_pair_loop(rng, n):
             assert got.distance == norm(f - ref * g)
 
 
-def test_euclidean_scalar_path_matches_the_one_pair_loop():
-    # unimodular_distance's one-pair path keeps the oracle's bits on 20,000
-    # seeded pairs: n from 1 to 16, weighted or not, at scales from 2^-900
-    # to 2^900, so some sums need the rescue and some vanish
-    rng = np.random.default_rng(2018)
-    for i in range(20000):
-        n = int(rng.integers(1, 17))
-        f, g = random_vec(rng, n, "complex"), random_vec(rng, n, "complex")
-        f *= 2.0 ** int(rng.integers(-900, 901)) if i % 4 == 0 else 1.0
-        g *= 2.0 ** int(rng.integers(-900, 901)) if i % 4 == 0 else 1.0
-        if i % 50 == 0:
-            g[:] = 0.0
-        w = rng.uniform(0.5, 2.0, n) if i % 2 else None
-        got = unimodular_distance(f, g, NormSpec(2.0, weights=w)).lambda_star
-        assert _bits(got) == _bits(scalar_euclidean_phase(f, g, w)), i
-
-
 def test_ratio_report_reproducible(rng):
     norm = NormSpec(3.0)
     f = random_vec(rng, 5, "complex")

@@ -77,20 +77,57 @@ def test_tiles_keep_every_bit(monkeypatch, n, p, weighted):
         assert _results(seed, n, p, weighted) == ref, tile
 
 
+def _kernel_switch_results(n, seed):
+    # screens, distances, fit-grid lattice norms and p = 3 fits on one pair
+    rng = np.random.default_rng(seed)
+    f, g = random_vec(rng, n, "complex"), random_vec(rng, n, "complex")
+    w = rng.uniform(0.5, 2.0, n)
+    close, exact = [], []
+    for p in (1.0, 2.0, 3.0, np.inf):
+        for weights in (None, w):
+            norm = NormSpec(p, weights=weights)
+            close.append(_grid_values(f, g, norm))
+            d = unimodular_distance(f, g, norm)
+            exact.append(np.array([d.distance, d.lambda_star.real, d.lambda_star.imag]))
+    for field in ("real", "complex"):
+        basis = np.stack([random_vec(rng, n, field) for _ in range(2)], axis=1)
+        close.append(H._lattice_norms(H._FIT_GRID[field][1], basis, NormSpec(3.0)))
+    fr, gr = random_vec(rng, n, "real"), random_vec(rng, n, "real")
+    exact.append(np.array([fit_hilbert_norm(f, g, NormSpec(3.0), field="complex").distortion_K,
+                           fit_hilbert_norm(fr, gr, NormSpec(3.0), field="real").distortion_K]))
+    return close, exact
+
+
+@pytest.mark.parametrize("n, seed", [(1092, 1), (1500, 2)])
+def test_tiles_near_the_blas_kernel_switch(monkeypatch, n, seed):
+    # at these n one block takes OpenBLAS's general kernel and a tile its
+    # small-matrix kernel, which round the last n mod 8 columns of a K = 2
+    # product differently; on these seeds some screen values and real
+    # lattice norms move by an ulp, while every distance and fitted K keeps
+    # its bits
+    close, exact = _kernel_switch_results(n, seed)
+    monkeypatch.setattr(L, "_TILE_BYTES", ONE_BLOCK)
+    close_ref, exact_ref = _kernel_switch_results(n, seed)
+    for got, ref in zip(close, close_ref):
+        np.testing.assert_array_max_ulp(got, ref, maxulp=2)
+    assert [x.tobytes() for x in exact] == [x.tobytes() for x in exact_ref]
+
+
 def _record_sizes(monkeypatch):
     # nbytes of every array reaching of_squared_rows, and of every of_rows
-    # argument passed from _sep_rows_coarse or _lattice_norms
-    sizes = []
-    sites = ("_sep_rows_coarse", "_lattice_norms")
+    # argument passed from the search grid or the fit grid, by site
+    sizes = {}
+    sites = {"_sep_tile": "search grid", "_lattice_norms": "fit grid"}
     of_rows, of_squared_rows = NormSpec.of_rows, NormSpec.of_squared_rows
 
     def rows(self, X):
-        if sys._getframe(1).f_code.co_name in sites:
-            sizes.append(np.asarray(X).nbytes)
+        site = sites.get(sys._getframe(1).f_code.co_name)
+        if site is not None:
+            sizes.setdefault(site, []).append(np.asarray(X).nbytes)
         return of_rows(self, X)
 
     def squared(self, Q):
-        sizes.append(Q.nbytes)
+        sizes.setdefault("screen", []).append(Q.nbytes)
         return of_squared_rows(self, Q)
 
     monkeypatch.setattr(NormSpec, "of_rows", rows)
@@ -119,7 +156,10 @@ def test_no_batch_exceeds_one_tile(monkeypatch):
         # the lattice norms of a complex p = 3 fit at n = 2048
         fit_hilbert_norm(f, g, NormSpec(3.0), field="complex")
 
-    for run in (distances, searches, fit):
+    # each run must reach the site it exercises, so no leg passes unchecked
+    for run, site in ((distances, "screen"), (searches, "search grid"), (fit, "fit grid")):
         sizes.clear()
         run()
-        assert sizes and max(sizes) <= TILE, (run.__name__, max(sizes, default=0))
+        assert sizes.get(site), (run.__name__, site)
+        for where, seen in sizes.items():
+            assert max(seen) <= TILE, (run.__name__, where, max(seen))
