@@ -174,7 +174,7 @@ def _subspace(ambient, basis):
         raise ProblemError(f"basis: {exc}")
 
 
-def _ratio_payload(rep, field):
+def _ratio_payload(rep):
     return {
         "numerator": _num(rep.numerator),
         "denominator": _num(rep.denominator),
@@ -250,7 +250,7 @@ def cmd_analyze(args):
             "unbounded": est.unbounded,
             "witness_f": _vec_out(est.witness_f, field),
             "witness_g": _vec_out(est.witness_g, field),
-            "ratio_report": _ratio_payload(est.report, field),
+            "ratio_report": _ratio_payload(est.report),
             "budget_used": est.budget_used,
         },
         "disjoint_witness": _witness_payload(adp, field),
@@ -345,7 +345,7 @@ def cmd_build(args):
             "f_prime": _vec_out(res.f_prime, field),
             "g_prime": _vec_out(res.g_prime, field),
             "certified_ratio": _num(res.certified_ratio),
-            "ratio_report": _ratio_payload(rep, field),
+            "ratio_report": _ratio_payload(rep),
         }
     elif args.builder == "spr2perp":
         wit = builders.spr_failure_to_perp_pair(
@@ -381,11 +381,10 @@ def cmd_build(args):
     return _report(args, f"build {args.builder}", payload, t0)
 
 
-def _verify_identities(args, rng):
+def _verify_identities(n, samples, rng):
     worst = {"prod_split": 0.0, "scalar_homog": 0.0, "sum_diff": 0.0,
              "monotone": 0.0}
-    n = args.dim
-    for _ in range(args.samples):
+    for _ in range(samples):
         f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         af, ag = modulus(f), modulus(g)
@@ -427,11 +426,10 @@ def _verify_identities(args, rng):
             "checks": checks}, all(checks.values())
 
 
-def _verify_real_spr(args, rng):
+def _verify_real_spr(n, samples, rng):
     # product inequalities between overlap and functional-calculus product
-    n = args.dim
     worst_lower, worst_upper = 0.0, 0.0
-    for _ in range(args.samples):
+    for _ in range(samples):
         p = rng.choice([1.0, 2.0, 3.0, np.inf])
         nrm = NormSpec(p=p)
         u = rng.standard_normal(n)
@@ -453,11 +451,10 @@ def _verify_real_spr(args, rng):
     }, all(checks.values())
 
 
-def _verify_complex_spr(args, rng):
-    n = max(args.dim, 3)
+def _verify_complex_spr(n, samples, rng):
     norm = NormSpec(p=np.inf)
     worst_gap, worst_dist, count = 0.0, math.inf, 0
-    for _ in range(args.samples):
+    for _ in range(samples):
         half = n // 2
         u = np.zeros(n, dtype=complex)
         v = np.zeros(n, dtype=complex)
@@ -495,16 +492,17 @@ def _verify_complex_spr(args, rng):
 
 def cmd_verify(args):
     t0 = time.perf_counter()
-    rng = np.random.default_rng(args.seed)
-    if args.suite == "identities":
-        payload, ok = _verify_identities(args, rng)
-    elif args.suite == "real-spr":
-        payload, ok = _verify_real_spr(args, rng)
-    else:
-        payload, ok = _verify_complex_spr(args, rng)
+    if args.dim < 1 or args.samples < 1:
+        raise ProblemError(
+            f"--dim and --samples must be at least 1, got {args.dim} and {args.samples}")
+    # complex-spr splits each pair's support, so it samples at least C^3
+    n = max(args.dim, 3) if args.suite == "complex-spr" else args.dim
+    suite = {"identities": _verify_identities, "real-spr": _verify_real_spr,
+             "complex-spr": _verify_complex_spr}[args.suite]
+    payload, ok = suite(n, args.samples, np.random.default_rng(args.seed))
     payload["suite"] = args.suite
     payload["samples"] = args.samples
-    payload["dim"] = args.dim
+    payload["dim"] = n
     return _report(args, f"verify {args.suite}", payload, t0, ok=ok)
 
 

@@ -813,7 +813,11 @@ def orthogonal_reduce(f, g, H, mu=1.0):
     factor 2 of S.  Postconditions are asserted, not trusted:
     orthogonality within 1e-10 relative, coordinatewise modulus-gap
     domination within 1e-12, and difference preservation to the last
-    few representable bits.
+    few representable bits.  Near the double root the orthogonality check
+    can fail on rounding alone: the rounding of <f,g>_H and S (about
+    1e-16 S) stays while the reduced pair shrinks, so aligned pairs with
+    disc below about 1e-6 on fitted forms may raise CertificateError.
+    That is a raised error, never a wrong result.
     """
     f = as_vector(f, H.field)
     g = as_vector(g, H.field)

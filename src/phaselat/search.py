@@ -20,7 +20,6 @@ would take alone, and winners are taken in restart order.
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -59,9 +58,6 @@ _SEP_GRID.flags.writeable = _SEP_REFINE.flags.writeable = False
 # separations are exact, and there it only raises the target
 _SEP_MARGIN = 0.01
 _DELTA0 = 0.35  # every restart's first pattern step
-# grid entries (candidate rows x phase angles x dimension) one objective
-# call may hold, as phase_metric._ZOOM_CELLS; restarts run in such blocks
-_BLOCK_CELLS = 1 << 20
 
 
 class InfeasibleError(PhaseLatError):
@@ -194,15 +190,6 @@ def _pattern_search(objective, X0, da, max_sweeps, delta_min=1e-12, plateau=None
             done |= delta[idx] < plateau(fx[idx])
         live[idx] = ~done & (sweeps[idx] < max_sweeps) & (delta[idx] > delta_min)
     return X, fx, sweeps
-
-
-def _restart_blocks(E, starts, search):
-    """Yield search(block)'s rows in restart order, blocks within _BLOCK_CELLS;
-    a caller that stops early never runs the later blocks."""
-    angles = sum(_SEP_REFINE.shape) if E.ambient.field == "complex" else 2
-    size = max(_BLOCK_CELLS // (2 * starts.shape[1] * angles * E.ambient.dim), 1)
-    for lo in range(0, starts.shape[0], size):
-        yield from zip(*search(starts[lo:lo + size]))
 
 
 def _pairs_from_params(E, X):
@@ -408,14 +395,15 @@ def estimate_spr_constant(E, budget=None, seed=0):
                 unbounded = True
         return unbounded
 
-    search = partial(_pattern_search, objective, da=E._param_dim(),
-                     max_sweeps=budget.iterations_per_restart, project=_normalize_joint)
     warm = _warm_start_pairs(E, budget, seed)
     starts = _random_params(rng, E, budget.restarts)
     if warm is not None:
         starts = np.vstack([_params_from_pair(E, *warm), starts])
     if warm is None or not consider(*warm):
-        for x, _, sweeps in _restart_blocks(E, starts, search):
+        X, _, sweeps_per = _pattern_search(objective, starts, E._param_dim(),
+                                           budget.iterations_per_restart,
+                                           project=_normalize_joint)
+        for x, sweeps in zip(X, sweeps_per):
             sweeps_total += int(sweeps)
             # one row at a time: a batched rebuild changes the last bits
             U, V = _pairs_from_params(E, x[None, :])
@@ -443,9 +431,9 @@ def search_almost_disjoint(E, budget=None, seed=0):
     objective = _disjoint_objective(E)
     best_x = None
     best_v = math.inf
-    search = partial(_pattern_search, objective, da=E._param_dim(),
-                     max_sweeps=budget.iterations_per_restart)
-    for x, fx, _ in _restart_blocks(E, _random_params(rng, E, budget.restarts), search):
+    X, F, _ = _pattern_search(objective, _random_params(rng, E, budget.restarts),
+                              E._param_dim(), budget.iterations_per_restart)
+    for x, fx in zip(X, F):
         if fx < best_v:
             best_v, best_x = fx, x
     if best_x is None:
@@ -474,28 +462,24 @@ def search_perp_pair(E, m, budget=None, seed=0, feas_tol=1e-6):
     m_pen = m + _SEP_MARGIN if m > 0 else 0.0
     feasibility = _feasibility_objective(E, m_pen + _SEP_MARGIN)
     rounds = budget.penalty_rounds if m > 0 else 1
-
-    def search(X):
-        if m > 0:
-            X = _pattern_search(
-                feasibility, X, E._param_dim(), budget.iterations_per_restart,
-                plateau=lambda f: np.where(f <= 0.0, math.inf, 0.0),
-            )[0]
-        for r in range(rounds):
-            objective = _perp_objective(E, m_pen, 10.0 ** (r + 2))
-            # the last round runs to machine step so exact-zero basins
-            # are not cut off by the plateau heuristic
-            last = r == rounds - 1
-            out = _pattern_search(
-                objective, X, E._param_dim(), budget.iterations_per_restart,
-                delta_min=1e-15 if last else 1e-12,
-                plateau=None if last else
-                (lambda f: 1e-4 * np.minimum(np.maximum(f, 1e-10), 1.0)),
-            )
-            X = out[0]
-        return out
-
-    for x, _, _ in _restart_blocks(E, _random_params(rng, E, budget.restarts), search):
+    X = _random_params(rng, E, budget.restarts)
+    if m > 0:
+        X = _pattern_search(
+            feasibility, X, E._param_dim(), budget.iterations_per_restart,
+            plateau=lambda f: np.where(f <= 0.0, math.inf, 0.0),
+        )[0]
+    for r in range(rounds):
+        objective = _perp_objective(E, m_pen, 10.0 ** (r + 2))
+        # the last round runs to machine step so exact-zero basins
+        # are not cut off by the plateau heuristic
+        last = r == rounds - 1
+        X = _pattern_search(
+            objective, X, E._param_dim(), budget.iterations_per_restart,
+            delta_min=1e-15 if last else 1e-12,
+            plateau=None if last else
+            (lambda f: 1e-4 * np.minimum(np.maximum(f, 1e-10), 1.0)),
+        )[0]
+    for x in X:
         U, V, ok = _normalized_pairs(E, x[None, :])
         if not np.any(ok):
             continue

@@ -13,6 +13,7 @@ import pathlib
 import numpy as np
 
 import phaselat
+import phaselat.cli  # noqa: F401  (Tracer.install wraps names in phaselat.cli)
 from conftest import random_vec
 
 _TRACER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"

@@ -284,6 +284,23 @@ def test_negative_m_exits_two(tmp_path, capsys):
         assert out == "" and "nonnegative" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["identities", "--dim", "0"], ["identities", "--dim", "-2"], ["real-spr", "--dim", "0"],
+    ["identities", "--samples", "0"], ["real-spr", "--samples", "0"],
+    ["complex-spr", "--samples", "0"]])
+def test_bad_verify_arguments_exit_two(capsys, argv):
+    code, out, err = _run(capsys, ["verify", *argv])
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "Traceback" not in err
+
+
+def test_verify_complex_spr_reports_the_dimension_it_samples(capsys):
+    code, out, _ = _run(capsys, ["verify", "complex-spr", "--dim", "1", "--samples", "5",
+                                 "--json"])
+    assert code == 0
+    assert json.loads(out)["dim"] == 3
+
+
 def test_malformed_json_exits_two(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{ bad")

@@ -381,8 +381,7 @@ _FROZEN = {
 }
 
 
-def _search_outputs(E):
-    budget = SearchBudget(4, 60, 2)
+def _search_outputs(E, budget=SearchBudget(4, 60, 2)):
     est = estimate_spr_constant(E, budget, seed=3)
     adp = search_almost_disjoint(E, budget, seed=3)
     per = search_perp_pair(E, 0.1, budget, seed=3)
@@ -399,6 +398,21 @@ def test_search_outputs_are_frozen(name):
     est = estimate_spr_constant(E, SearchBudget(4, 60, 2), seed=3)
     assert est.budget_used["restarts"] == 5
     assert est.unbounded == name.startswith("full")
+
+
+def test_search_outputs_are_frozen_at_large_n():
+    # a large complex span, every restart of each search in one lockstep
+    # state; n mod 8 = 4, where OpenBLAS's kernel choice for the grid
+    # products can move an ulp
+    n = 1092
+    rng = np.random.default_rng([77, n])
+    B = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    E = Subspace(Ambient(n, "complex", NormSpec(np.inf)), B)
+    assert _search_outputs(E, SearchBudget(4, 20, 2)) == (
+        "2.064750100468107", "52ba58e53b3604c2", 100,
+        ("0.5989608030333394", "1.1268414568936655", "0.5562925982452566",
+         "584a020d794998fd"),
+        ("0.1945930527496119", "0.10952201413704295", "1.0", "eb28e8d51a54d9e7"))
 
 
 def test_check_pr_frozen_on_c4():
@@ -440,39 +454,6 @@ def test_search_without_a_finite_restart_raises(monkeypatch):
                         lambda E: lambda X: np.full(X.shape[0], np.nan))
     with pytest.raises(InfeasibleError):
         search_almost_disjoint(E, SearchBudget(2, 5, 1), seed=0)
-
-
-@pytest.mark.parametrize("name", ["real-1.0", "complex-inf"])
-def test_restart_blocks_keep_results_and_bound_calls(name, monkeypatch):
-    E = _frozen_subspace(name)
-    expected = _search_outputs(E)
-    # the rule's worst case per restart: 2d candidate rows, each with up
-    # to 65 phase angles (2 over the real field) of n entries
-    d = 2 * E._param_dim()
-    per = 2 * d * (65 if E.ambient.field == "complex" else 2) * E.ambient.dim
-    largest, inside = [0], [False]
-    of_rows, pattern_search = NormSpec.of_rows, S._pattern_search
-
-    def spy(self, X):
-        if inside[0]:
-            largest[0] = max(largest[0], np.asarray(X).size)
-        return of_rows(self, X)
-
-    def search(*args, **kw):
-        inside[0] = True
-        try:
-            return pattern_search(*args, **kw)
-        finally:
-            inside[0] = False
-
-    monkeypatch.setattr(NormSpec, "of_rows", spy)
-    monkeypatch.setattr(S, "_pattern_search", search)
-    for cells in (1, 2 * per):
-        # one restart per block, then two (the 6 or 5 starts split unevenly)
-        monkeypatch.setattr(S, "_BLOCK_CELLS", cells)
-        largest[0] = 0
-        assert _search_outputs(E) == expected
-        assert largest[0] <= max(cells, per)
 
 
 # -- separation scoring --------------------------------------------------------
