@@ -263,11 +263,15 @@ def _ratio_fn(basis, norm, Q):
 def _spread_starts(order, rows, count, min_cos):
     # greedily the first count rows in order whose overlap |<c, c'>| with
     # every row picked before is below min_cos: the grid repeats each pole
-    # n_phi times, and those copies count once
-    picked, rest = [], np.asarray(order)
-    while rest.size and len(picked) < count:
-        picked.append(int(rest[0]))
-        rest = rest[np.abs(rows[rest] @ np.conj(rows[rest[0]])) < min_cos]
+    # n_phi times, and those copies count once; order is read in chunks of 128
+    picked, at = [], 0
+    while len(picked) < count and at < len(order):
+        rest, k, at = np.asarray(order[at:at + 128]), 0, at + 128
+        while rest.size and len(picked) < count:
+            if k == len(picked):
+                picked.append(int(rest[0]))
+            rest = rest[np.abs(rows[rest] @ np.conj(rows[picked[k]])) < min_cos]
+            k += 1
     return picked
 
 

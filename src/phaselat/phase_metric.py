@@ -78,16 +78,17 @@ def euclidean_phases(F, G, norm):
     """
     w = norm.weights if norm.weights is not None else 1.0
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        ip = np.sum(w * F * np.conj(G), axis=1)
+        ip = (w * F * np.conj(G)).sum(axis=1)
         mag = np.hypot(ip.real, ip.imag)
-    redo = ~((1e-250 < mag) & (mag < np.inf))
-    if redo.any():
+    lam, live = np.ones(ip.shape, dtype=np.complex128), slice(None)
+    # every row in range (a NaN fails both tests) needs no mask
+    if not (1e-250 < mag.min(initial=np.inf) and mag.max(initial=0.0) < np.inf):
+        redo = ~((1e-250 < mag) & (mag < np.inf))
         F, G = _unit_rows(F[redo]), _unit_rows(G[redo])
         ip[redo] = np.sum(w * F * np.conj(G), axis=1)
         mag[redo] = np.hypot(ip.real[redo], ip.imag[redo])
-    lam = np.ones(ip.shape, dtype=np.complex128)
-    live = mag > 0
-    ip, mag = ip[live], mag[live]
+        live = mag > 0
+        ip, mag = ip[live], mag[live]
     # (a + ib) / (r + 0i) as Python divides it: the ratio of the divisor's
     # parts is 0, so a + b * 0 over r, and b - a * 0 over r
     lam.real[live] = (ip.real + ip.imag * 0.0) / mag

@@ -79,6 +79,8 @@ class Subspace:
         if rows.shape[0] > 1:
             require_independent(rows, InputError("basis is numerically dependent"))
         object.__setattr__(self, "basis", rows)
+        # a candidate whose u or v has norm at most this is dropped
+        object.__setattr__(self, "_floor", 1e-30 * np.max(np.abs(rows)))
 
     @property
     def k(self):
@@ -129,9 +131,10 @@ class PRVerdict:
 
 
 def _normalize_halves(X, da):
+    # both halves over one (R, 2, da) view, with np.linalg.norm's sums
     X = np.array(X, dtype=float)
-    X[:, :da] /= np.linalg.norm(X[:, :da], axis=1)[:, None]
-    X[:, da:] /= np.linalg.norm(X[:, da:], axis=1)[:, None]
+    H = X.reshape(X.shape[0], 2, da)
+    H /= np.sqrt(np.add.reduce(H * H, axis=2))[:, :, None]
     return X
 
 
@@ -160,6 +163,9 @@ def _pattern_search(objective, X0, da, max_sweeps, delta_min=1e-12, plateau=None
     coordinate by at most _DELTA0 = 0.35, so a moved unit half keeps norm
     >= 0.65 and a moved row of norm sqrt(2) at least sqrt(2) - 0.35: no
     candidate is projected from zero.  Returns (X, values, sweeps).
+    That contract, which ``project`` keeps too, binds every array stacked
+    inside an objective (u over v, gaps over norms): each of its rows must
+    get the same bits in every batch of two or more rows.
     """
     project = project or _normalize_halves
     # start points and values one row at a time, as a serial run takes
@@ -168,81 +174,79 @@ def _pattern_search(objective, X0, da, max_sweeps, delta_min=1e-12, plateau=None
     fx = np.array([objective(x[None, :])[0] for x in X])
     fx[np.isnan(fx)] = math.inf
     R, dim = X.shape
-    delta = np.full(R, _DELTA0)
     sweeps = np.zeros(R, dtype=int)
-    live = np.full(R, max_sweeps > 0)
     steps = np.vstack([np.eye(dim), -np.eye(dim)])
-    while live.any():
-        idx = np.flatnonzero(live)
-        sweeps[idx] += 1
-        cands = project((X[idx, None, :] + delta[idx, None, None] * steps)
-                        .reshape(-1, dim), da)
+    # the live restarts' indices, points, values and steps, all at one sweep
+    idx, x, f, delta = np.arange(R), X.copy(), fx.copy(), np.full(R, _DELTA0)
+    for sweep in range(1, max_sweeps + 1):
+        cands = project((x[:, None, :] + delta[:, None, None] * steps).reshape(-1, dim), da)
         vals = objective(cands).reshape(idx.size, 2 * dim)
-        vals = np.where(np.isnan(vals), math.inf, vals)
+        vals[np.isnan(vals)] = math.inf
         j = vals.argmin(axis=1)
         bv = vals[np.arange(idx.size), j]
-        up = bv < fx[idx] - 1e-15
-        X[idx[up]] = cands.reshape(idx.size, 2 * dim, dim)[up, j[up]]
-        fx[idx[up]] = bv[up]
-        delta[idx[~up]] *= 0.5
-        done = up & ~np.isfinite(bv)
+        up = bv < f - 1e-15
+        x[up] = cands.reshape(idx.size, 2 * dim, dim)[up, j[up]]
+        f[up] = bv[up]
+        delta[~up] *= 0.5
+        done = (up & ~np.isfinite(bv)) | ~(delta > delta_min) | (sweep == max_sweeps)
         if plateau is not None:
-            done |= delta[idx] < plateau(fx[idx])
-        live[idx] = ~done & (sweeps[idx] < max_sweeps) & (delta[idx] > delta_min)
+            done |= delta < plateau(f)
+        if done.any():
+            out, live = idx[done], ~done
+            X[out], fx[out], sweeps[out] = x[done], f[done], sweep
+            idx, x, f, delta = idx[live], x[live], f[live], delta[live]
+            if not idx.size:
+                break
     return X, fx, sweeps
 
 
 def _pairs_from_params(E, X):
-    da = E._param_dim()
-    A = E._coeff_rows(X[:, :da])
-    B = E._coeff_rows(X[:, da:])
-    U = A @ E.basis
-    V = B @ E.basis
-    return U, V
+    # rows u over rows v in one (2R, n) array, one product per half as alone
+    R, da = X.shape[0], E._param_dim()
+    W = np.empty((2 * R, E.ambient.dim), dtype=E.basis.dtype)
+    np.matmul(E._coeff_rows(X[:, :da]), E.basis, out=W[:R])
+    np.matmul(E._coeff_rows(X[:, da:]), E.basis, out=W[R:])
+    return W
 
 
 def _normalized_pairs(E, X):
-    U, V = _pairs_from_params(E, X)
-    norm = E.ambient.norm
-    nu = norm.of_rows(U)
-    nv = norm.of_rows(V)
-    floor = 1e-30 * np.max(np.abs(E.basis))
-    ok = (nu > floor) & (nv > floor)
-    return U[ok] / nu[ok, None], V[ok] / nv[ok, None], ok
+    # unit u and v of the pairs whose halves clear E's floor, one of_rows call
+    W, R = _pairs_from_params(E, X), X.shape[0]
+    nw = E.ambient.norm.of_rows(W)
+    ok = (nw[:R] > E._floor) & (nw[R:] > E._floor)
+    if ok.all():
+        W /= nw[:, None]
+        return W[:R], W[R:], ok
+    return W[:R][ok] / nw[:R, None][ok], W[R:][ok] / nw[R:, None][ok], ok
 
 
 def _sep_rows_coarse(U, V, norm, field, refine=False):
-    # _sep_tile on runs of rows whose candidate differences fit one tile
     if field != "complex":
-        row_bytes = 2 * 8
-    else:
-        row_bytes = (1 if norm.p == 2.0 else len(_SEP_GRID)) * 16
-    tiles = row_tiles(U.shape[0], row_bytes * U.shape[1])
-    if len(tiles) == 1:
-        return _sep_tile(U, V, norm, field, refine)
-    return np.concatenate([_sep_tile(U[s], V[s], norm, field, refine) for s in tiles])
-
-
-def _sep_tile(U, V, norm, field, refine):
-    if field != "complex":
-        lams = np.array([1.0, -1.0])
-        diffs = U[:, None, :] - lams[None, :, None] * V[:, None, :]
-        flat = diffs.reshape(-1, U.shape[1])
-        return norm.of_rows(flat).reshape(U.shape[0], 2).min(axis=1)
+        return _phase_norms(U, V, np.array([[1.0], [-1.0]]), norm).min(axis=0)
     if norm.p == 2.0:
         # the closed form: each row's phase of <u, v> attains the minimum
-        return norm.of_rows(U - euclidean_phases(U, V, norm)[:, None] * V)
-    diffs = U[:, None, :] - _SEP_GRID[None, :, None] * V[:, None, :]
-    flat = diffs.reshape(-1, U.shape[1])
-    vals = norm.of_rows(flat).reshape(U.shape[0], _SEP_GRID.shape[0])
-    coarse = vals.min(axis=1)
+        return _phase_norms(U, V, euclidean_phases(U, V, norm)[None, :], norm)[0]
+    vals = _phase_norms(U, V, _SEP_GRID[:, None], norm)
+    coarse = vals.min(axis=0)
     if not refine:
         return coarse
-    lam2 = _SEP_REFINE[vals.argmin(axis=1)]
-    diffs2 = U[:, None, :] - lam2[:, :, None] * V[:, None, :]
-    flat2 = diffs2.reshape(-1, U.shape[1])
-    vals2 = norm.of_rows(flat2).reshape(U.shape[0], lam2.shape[1])
-    return np.minimum(coarse, vals2.min(axis=1))
+    lam2 = _SEP_REFINE[vals.argmin(axis=0)].T
+    return np.minimum(coarse, _phase_norms(U, V, lam2, norm).min(axis=0))
+
+
+def _phase_norms(U, V, lams, norm):
+    # norm(u - lam v) for each row of lams, (A, 1) or (A, R), and each row
+    # pair: (A, R).  Scalars outermost, so a pass spans a run of rows whose
+    # A differences fit one tile; a row longer than a tile runs in tiles
+    # of scalars
+    A, (R, n) = lams.shape[0], U.shape
+    out = np.empty((A, R))
+    for r in row_tiles(R, A * U.itemsize * n):
+        for s in row_tiles(A, (r.stop - r.start) * U.itemsize * n):
+            D = (lams[s, r] if lams.shape[1] > 1 else lams[s])[:, :, None] * V[r]
+            np.subtract(U[r], D, out=D)
+            out[s, r] = norm.of_rows(D.reshape(-1, n)).reshape(D.shape[:2])
+    return out
 
 
 def _ratio_objective(E):
@@ -250,11 +254,17 @@ def _ratio_objective(E):
     field = E.ambient.field
 
     def fn(X):
-        U, V = _pairs_from_params(E, X)
-        num = _sep_rows_coarse(U, V, norm, field)
-        den = norm.of_rows(np.abs(np.abs(U) - np.abs(V)))
-        scale = RATIO_ATOL_SCALE * np.maximum(norm.of_rows(U), norm.of_rows(V))
-        out = np.full(U.shape[0], np.nan)
+        W, R = _pairs_from_params(E, X), X.shape[0]
+        num = _sep_rows_coarse(W[:R], W[R:], norm, field)
+        # | |u| - |v| |, |u| and |v| in one of_rows call; the pairs are freed
+        # first, so at large n the norm's temporaries take their place
+        M = np.empty((3 * R, W.shape[1]))
+        np.abs(W, out=M[R:])
+        del W
+        np.abs(np.subtract(M[R:2 * R], M[2 * R:], out=M[:R]), out=M[:R])
+        den, nu, nv = norm.of_rows(M).reshape(3, R)
+        scale = RATIO_ATOL_SCALE * np.maximum(nu, nv)
+        out = np.full(R, np.nan)
         live = den > scale
         out[live] = -num[live] / den[live]
         out[(~live) & (num > scale)] = -np.inf
@@ -275,9 +285,9 @@ def _disjoint_objective(E):
     return fn
 
 
-def _shortfall(U, V, norm, field, target):
+def _shortfall(U, V, gap, norm, field, target):
     """max(target - sep, 0) per normalized row pair, with sep from
-    _sep_rows_coarse(refine=True).
+    _sep_rows_coarse(refine=True); gap holds each row's modulus gap.
 
     |u_i - lambda v_i| >= | |u_i| - |v_i| | and the norm is monotone, so no
     separation lies below the modulus gap N(| |u| - |v| |).  A row whose gap
@@ -285,7 +295,6 @@ def _shortfall(U, V, norm, field, target):
     normalized pairs, falls short by exactly 0 whatever sep is, so sep is
     computed for the other rows only.
     """
-    gap = norm.of_rows(np.abs(np.abs(U) - np.abs(V)))
     near = np.flatnonzero(~(gap >= target + 1e-12))
     out = np.zeros(U.shape[0])
     if near.size:
@@ -300,13 +309,18 @@ def _perp_objective(E, m, rho):
 
     def fn(X):
         U, V, ok = _normalized_pairs(E, X)
-        perp = norm.of_rows(np.sqrt(np.abs((U * np.conj(V)).real)))
-        out = np.full(X.shape[0], np.nan)
+        R = U.shape[0]
+        # the perp profiles and, under a target, the modulus gaps: one of_rows call
+        rows = np.empty((2 * R if m > 0.0 else R, U.shape[1]))
+        np.sqrt(np.abs((U * np.conj(V)).real), out=rows[:R])
         if m > 0.0:
-            viol = _shortfall(U, V, norm, field, m)
-            out[ok] = perp + rho * viol * viol
-        else:
-            out[ok] = perp
+            np.abs(np.subtract(np.abs(U), np.abs(V), out=rows[R:]), out=rows[R:])
+        nr = norm.of_rows(rows)
+        out = np.full(X.shape[0], np.nan)
+        out[ok] = nr[:R]
+        if m > 0.0:
+            viol = _shortfall(U, V, nr[R:], norm, field, m)
+            out[ok] += rho * viol * viol
         return out
 
     return fn
@@ -320,7 +334,8 @@ def _feasibility_objective(E, target):
     def fn(X):
         U, V, ok = _normalized_pairs(E, X)
         out = np.full(X.shape[0], np.nan)
-        out[ok] = _shortfall(U, V, norm, field, target)
+        gap = norm.of_rows(np.abs(np.abs(U) - np.abs(V)))
+        out[ok] = _shortfall(U, V, gap, norm, field, target)
         return out
 
     return fn
@@ -406,8 +421,8 @@ def estimate_spr_constant(E, budget=None, seed=0):
         for x, sweeps in zip(X, sweeps_per):
             sweeps_total += int(sweeps)
             # one row at a time: a batched rebuild changes the last bits
-            U, V = _pairs_from_params(E, x[None, :])
-            if consider(U[0], V[0]):
+            W = _pairs_from_params(E, x[None, :])
+            if consider(W[0], W[1]):
                 break
     if best_report is None:
         best_report = spr_ratio(best_pair[0], best_pair[1], norm, field=field)

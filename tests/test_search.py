@@ -529,3 +529,64 @@ def test_complex_euclidean_separation_is_the_closed_form(weighted):
         exact = closed_form_l2_distance(u, v, norm.weights)
         assert abs(s - exact) <= 1e-15 * (norm(u) + norm(v))
     assert np.all(sep <= grid)
+
+
+# -- objective batches ---------------------------------------------------------
+
+def _objectives(E, m):
+    return {"ratio": S._ratio_objective(E), "disjoint": S._disjoint_objective(E),
+            "feasibility": S._feasibility_objective(E, m),
+            "perp": S._perp_objective(E, m, 100.0), "perp0": S._perp_objective(E, 0.0, 100.0)}
+
+
+def _batch_rows(field, p, weighted):
+    # 30 candidate rows and a separation target at their median modulus
+    # gap, so that some rows skip the separation and some score it
+    E, X = _candidate_rows(field, p, weighted, count=30)
+    U, V, _ = S._normalized_pairs(E, X)
+    m = float(np.median(E.ambient.norm.of_rows(np.abs(np.abs(U) - np.abs(V)))))
+    return E, X, m
+
+
+@pytest.mark.parametrize("field, p, weighted",
+                         [(f, p, False) for f in ("real", "complex")
+                          for p in (1.0, 2.0, 3.0, np.inf)] + [("complex", 3.0, True)])
+def test_objectives_do_not_depend_on_their_batch(field, p, weighted):
+    # the lockstep's premise: each row's value has the same bits in the
+    # whole batch, in a permuted batch and in sub-batches of two or more
+    # rows.  Row 7 has a zero first half, so the batches that hold it drop
+    # a pair and the others keep every pair
+    E, X, m = _batch_rows(field, p, weighted)
+    X[7, :E._param_dim()] = 0.0
+    perm = np.random.default_rng(5).permutation(len(X))
+    cuts = [0, 2, 5, 9, 14, 20, 30]
+    for name, fn in _objectives(E, m).items():
+        rows = S._normalize_joint(X, E._param_dim()) if name == "ratio" else X
+        full = fn(rows)
+        assert np.isnan(full[7]) == (name != "ratio"), name
+        assert fn(rows[perm]).tobytes() == full[perm].tobytes(), name
+        for a, b in zip(cuts, cuts[1:]):
+            part = perm[a:b]
+            assert fn(rows[part]).tobytes() == full[part].tobytes(), (name, a, b)
+
+
+def test_objectives_norm_call_budget(monkeypatch):
+    # of_rows calls of one objective call on a small complex p = 3 span:
+    # u and v share one call; the modulus gaps share one with |u| and |v|
+    # (ratio) or with the perp profiles (perp); the separation grid and its
+    # refinement take one each.  Before the calls were shared the counts
+    # were 4, 3, 5, 6 and 3
+    E, X, m = _batch_rows("complex", 3.0, False)
+    calls = [0]
+    of_rows = NormSpec.of_rows
+
+    def counted(self, x):
+        calls[0] += 1
+        return of_rows(self, x)
+
+    monkeypatch.setattr(NormSpec, "of_rows", counted)
+    budget = {"ratio": 2, "disjoint": 2, "feasibility": 4, "perp": 4, "perp0": 2}
+    for name, fn in _objectives(E, m).items():
+        calls[0] = 0
+        fn(S._normalize_joint(X, E._param_dim()) if name == "ratio" else X)
+        assert calls[0] <= budget[name], (name, calls[0])

@@ -117,7 +117,7 @@ def _record_sizes(monkeypatch):
     # nbytes of every array reaching of_squared_rows, and of every of_rows
     # argument passed from the search grid or the fit grid, by site
     sizes = {}
-    sites = {"_sep_tile": "search grid", "_lattice_norms": "fit grid"}
+    sites = {"_phase_norms": "search grid", "_lattice_norms": "fit grid"}
     of_rows, of_squared_rows = NormSpec.of_rows, NormSpec.of_squared_rows
 
     def rows(self, X):
@@ -152,12 +152,21 @@ def test_no_batch_exceeds_one_tile(monkeypatch):
         estimate_spr_constant(E, SearchBudget(12, 40), seed=3)
         search_perp_pair(E, 0.1, SearchBudget(12, 40), seed=3)
 
+    def long_rows():
+        # on a complex p = 3 span at n = 2048 one row's 48 grid angles are
+        # 1.5 MiB and its 17 refinement angles 0.5 MiB: both come in tiles.
+        # At m = 1 the perp search refines the separation of some rows
+        E = Subspace(Ambient(2048, "complex", NormSpec(3.0)), np.stack([f, g]))
+        estimate_spr_constant(E, SearchBudget(1, 2, 1), seed=3)
+        search_perp_pair(E, 1.0, SearchBudget(1, 2, 1), seed=3)
+
     def fit():
         # the lattice norms of a complex p = 3 fit at n = 2048
         fit_hilbert_norm(f, g, NormSpec(3.0), field="complex")
 
     # each run must reach the site it exercises, so no leg passes unchecked
-    for run, site in ((distances, "screen"), (searches, "search grid"), (fit, "fit grid")):
+    for run, site in ((distances, "screen"), (searches, "search grid"),
+                      (long_rows, "search grid"), (fit, "fit grid")):
         sizes.clear()
         run()
         assert sizes.get(site), (run.__name__, site)
