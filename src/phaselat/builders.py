@@ -134,20 +134,21 @@ def _require_normalized(u, v, norm):
         )
 
 
-def disjoint_to_pr_failure(f, g, norm, field="complex", atol=1e-12):
+def disjoint_to_pr_failure(f, g, norm, field="complex"):
     """Lift a disjoint pair to two vectors with identical moduli.
 
     F = f + g and G = f - g; disjoint supports force |F| = |G| = |f| + |g|
-    coordinatewise.
+    coordinatewise.  A largest modulus at most 1e-12 counts as zero, and
+    an overlap above 1e-12 times the larger one as not disjoint.
     """
     f = as_vector(f, field)
     g = as_vector(g, field)
     check_same_dim(f, g)
     scale = max(float(np.max(modulus(f))), float(np.max(modulus(g))))
-    if float(np.max(modulus(f))) <= atol or float(np.max(modulus(g))) <= atol:
+    if float(np.max(modulus(f))) <= 1e-12 or float(np.max(modulus(g))) <= 1e-12:
         raise PreconditionError("inputs must be nonzero")
     overlap = np.minimum(modulus(f), modulus(g))
-    if np.any(overlap > atol * scale):
+    if np.any(overlap > 1e-12 * scale):
         raise PreconditionError(
             f"inputs are not disjoint, max overlap {float(np.max(overlap)):.3e}"
         )

@@ -162,9 +162,10 @@ def _load_problem(path, need_basis=False, need_pair=False):
 
 
 def _budget(args):
-    return SearchBudget(
-        restarts=args.restarts, iterations_per_restart=args.iters
-    )
+    for flag, value in (("--restarts", args.restarts), ("--iters", args.iters)):
+        if value < 1:
+            raise ProblemError(f"{flag} must be at least 1, got {value}")
+    return SearchBudget(restarts=args.restarts, iterations_per_restart=args.iters)
 
 
 def _subspace(ambient, basis):

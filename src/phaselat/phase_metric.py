@@ -6,8 +6,13 @@ field the minimum is exact (lambda is +1 or -1). Over the complex field a
 Euclidean norm admits a closed form through the inner product. Every other
 norm is screened on a grid of the circle, computed from squared moduli by
 one real matrix product; all bracketed grid minima are then re-evaluated and
-zoomed together in direct form, one batched norm evaluation per round, and
-only the best of them gets a final bounded Brent polish.
+zoomed together in direct form, one tiled batch per round, and only the
+best of them gets a final bounded Brent polish.
+
+The searches score batches of row pairs with row_separations: exact over
+the real field (two signs) and at complex p = 2 (the phase of each row's
+weighted inner product), every other complex norm on a coarse grid of
+phase angles.  That batch and the zoom share one tiled kernel, phase_norms.
 """
 
 from dataclasses import dataclass
@@ -16,10 +21,10 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .lattice import (InputError, as_vector, check_same_dim, ldexp, modulus,
-                      perp_profile, row_tiles)
+                      perp_profile, row_tiles, unit_exponent)
 
 __all__ = ["PhaseAlignment", "RatioReport", "PairWitness",
-           "unimodular_distance", "spr_ratio"]
+           "unimodular_distance", "row_separations", "spr_ratio"]
 
 RATIO_ATOL_SCALE = 1e-9
 
@@ -35,9 +40,13 @@ _GRID_COS_SIN.flags.writeable = False
 # after 12 rounds, inside the winner's +-1e-8 polish
 _ZOOM_OFFSETS = np.array([-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0]) / 4.0
 _ZOOM_ROUNDS = 12
-# entries (rows times dimension) one zoom of_rows call may hold: the size
-# of the grid's batch at n = 2048
-_ZOOM_CELLS = 1 << 20
+# row_separations' coarse grid at complex p != 2, and the 17 zoom angles
+# around each coarse angle, one row per grid index
+_SEP_ANGLES = np.linspace(0.0, 2 * np.pi, 48, endpoint=False)
+_SEP_GRID = np.exp(1j * _SEP_ANGLES)
+_SEP_REFINE = np.exp(1j * (_SEP_ANGLES[:, None]
+                           + np.linspace(-_SEP_ANGLES[1], _SEP_ANGLES[1], 17)[None, :]))
+_SEP_GRID.flags.writeable = _SEP_REFINE.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -84,7 +93,7 @@ def euclidean_phases(F, G, norm):
     # every row in range (a NaN fails both tests) needs no mask
     if not (1e-250 < mag.min(initial=np.inf) and mag.max(initial=0.0) < np.inf):
         redo = ~((1e-250 < mag) & (mag < np.inf))
-        F, G = _unit_rows(F[redo]), _unit_rows(G[redo])
+        F, G = (np.array([ldexp(x, -unit_exponent(x)) for x in X[redo]]) for X in (F, G))
         ip[redo] = np.sum(w * F * np.conj(G), axis=1)
         mag[redo] = np.hypot(ip.real[redo], ip.imag[redo])
         live = mag > 0
@@ -94,14 +103,6 @@ def euclidean_phases(F, G, norm):
     lam.real[live] = (ip.real + ip.imag * 0.0) / mag
     lam.imag[live] = (ip.imag - ip.real * 0.0) / mag
     return lam
-
-
-def _unit_rows(X):
-    # each row scaled by the power of two that puts its largest real or
-    # imaginary part in [1/2, 1), as lattice.unit_exponent does for a vector
-    top = np.maximum(np.max(np.abs(X.real), axis=1, initial=0.0),
-                     np.max(np.abs(X.imag), axis=1, initial=0.0))
-    return ldexp(X, -np.frexp(top)[1][:, None])
 
 
 def unimodular_distance(f, g, norm, *, field="complex"):
@@ -139,6 +140,43 @@ def unimodular_distance(f, g, norm, *, field="complex"):
     return _grid_distance(f, g, norm)
 
 
+def row_separations(U, V, norm, *, field="complex", refine=False):
+    """Phase distance of each row pair of U and V, the searches' batch form:
+    exact over the real field and at complex p = 2, otherwise the least of
+    48 angles and, with ``refine``, of the 17 angles spanning two steps
+    around each row's grid argmin, an upper bound.  Rows are independent.
+    """
+    if field != "complex":
+        return phase_norms(U, V, np.array([[1.0], [-1.0]]), norm).min(axis=0)
+    if norm.p == 2.0:
+        return phase_norms(U, V, euclidean_phases(U, V, norm)[None, :], norm)[0]
+    vals = phase_norms(U, V, _SEP_GRID[:, None], norm)
+    coarse = vals.min(axis=0)
+    if not refine:
+        return coarse
+    lam2 = _SEP_REFINE[vals.argmin(axis=0)].T
+    return np.minimum(coarse, phase_norms(U, V, lam2, norm).min(axis=0))
+
+
+def phase_norms(U, V, lams, norm):
+    """norm(u - lam v), (A, R), for each row of lams, (A, 1) or (A, R), and
+    each of the R row pairs of U and V.  Scalars outermost, so a pass spans
+    a run of rows whose A differences fit one tile (lattice.row_tiles); a
+    row longer than a tile runs in tiles of scalars, and a batch within one
+    tile is one pass."""
+    A, (R, n) = lams.shape[0], U.shape
+    if len(row_tiles(A * R, U.itemsize * n)) == 1:
+        D = lams[:, :, None] * V
+        return norm.of_rows(np.subtract(U, D, out=D).reshape(-1, n)).reshape(A, R)
+    out = np.empty((A, R))
+    for r in row_tiles(R, A * U.itemsize * n):
+        for s in row_tiles(A, (r.stop - r.start) * U.itemsize * n):
+            D = (lams[s, r] if lams.shape[1] > 1 else lams[s])[:, :, None] * V[r]
+            np.subtract(U[r], D, out=D)
+            out[s, r] = norm.of_rows(D.reshape(-1, n)).reshape(D.shape[:2])
+    return out
+
+
 def _grid_distance(f, g, norm):
     # the generic complex branch of unimodular_distance, for any norm; a
     # test cross-checks it against the weighted 2-norm closed form
@@ -158,7 +196,7 @@ def _grid_distance(f, g, norm):
         local = np.r_[0, local[:-1]]
     # the screened values only choose the brackets; the zoom starts from
     # the direct values at their centres
-    d = norm.of_rows(f[None, :] - _GRID_LAMBDA[local, None] * g[None, :])
+    d = phase_norms(f[None, :], g[None, :], _GRID_LAMBDA[local, None], norm)[:, 0]
     t, d = _zoom(f, g, norm, _GRID_THETA[local], d, 2.0 * np.pi / len(_GRID_THETA))
     k = int(np.argmin(d))
     best_t, best_d = float(t[k]), float(d[k])
@@ -186,8 +224,7 @@ def _grid_values(f, g, norm):
     temporary holds more than 256 KiB.  A tile's rows are reduced as one
     block's would be, but its product can differ from one block's by an ulp
     at some n (see row_tiles); the screen only picks brackets.  f and g are
-    first
-    scaled by the power of two that puts their largest real or imaginary
+    first scaled by the power of two that puts their largest real or imaginary
     part in [1/2, 1), so huge and tiny vectors neither overflow nor
     underflow.  The squares cancel to about sqrt(eps) * (norm(f) + norm(g))
     near a zero of the distance, so these values can rank grid points but
@@ -222,9 +259,8 @@ def _zoom(f, g, norm, t, d, h):
     +-h/4, ..., +-h (the best angle's own value d is already known), moves
     to a strictly better sample, and divides h by 4, so a minimum inside a
     bracket stays inside the next one.  All brackets of a round go through
-    one of_rows call, split only when the batch would hold more than
-    _ZOOM_CELLS entries.  Returns the zoomed angles and their achieved
-    distances; t and d are updated in place.
+    one phase_norms call, in tiles.  Returns the zoomed angles and their
+    achieved distances; t and d are updated in place.
 
     The distance is Lipschitz in the angle with constant norm(g), and a
     bracket moves at most 4h/3 over this and the later rounds, so one
@@ -233,19 +269,16 @@ def _zoom(f, g, norm, t, d, h):
     """
     reach = 2.0 * norm(g)
     live = np.arange(len(t))
-    per_call = max(_ZOOM_CELLS // (f.shape[0] * len(_ZOOM_OFFSETS)), 1)
     for _ in range(_ZOOM_ROUNDS):
         live = live[d[live] - reach * h <= d.min()]
-        for lo in range(0, len(live), per_call):
-            idx = live[lo:lo + per_call]
-            tt = t[idx, None] + h * _ZOOM_OFFSETS
-            rows = f[None, :] - np.exp(1j * tt).reshape(-1, 1) * g[None, :]
-            vals = norm.of_rows(rows).reshape(tt.shape)
-            j = np.argmin(vals, axis=1)
-            best = vals[np.arange(len(j)), j]
-            move = best < d[idx]
-            t[idx[move]] = tt[move, j[move]]
-            d[idx[move]] = best[move]
+        tt = t[live, None] + h * _ZOOM_OFFSETS
+        vals = phase_norms(f[None, :], g[None, :], np.exp(1j * tt).reshape(-1, 1),
+                           norm).reshape(tt.shape)
+        j = np.argmin(vals, axis=1)
+        best = vals[np.arange(len(j)), j]
+        move = best < d[live]
+        t[live[move]] = tt[move, j[move]]
+        d[live[move]] = best[move]
         h /= 4.0
     return t, d
 

@@ -8,9 +8,7 @@ the lattice norm, so the search space stays compact.  Local moves are
 coordinate pattern steps, which tolerate the kinks of the p = 1 and
 p = infinity norms; every returned witness is re-measured from scratch by
 the lattice and phase-distance primitives before being reported.
-Inside the loops a separation is exact over the real field (two signs)
-and at complex p = 2 (the phase of each row's weighted inner product);
-every other complex norm is scored on a coarse grid of phase angles.  A
+Inside the loops separations come from phase_metric.row_separations.  A
 row whose modulus gap already clears a separation target is scored
 without any phase scalar, since no separation lies below the gap.
 All seeded restarts of a search step in lockstep as one (R, d) state,
@@ -23,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (Ambient, InputError, PhaseLatError, as_vector, require_independent,
-                      row_tiles)
-from .phase_metric import RATIO_ATOL_SCALE, PairWitness, euclidean_phases, spr_ratio
+from .lattice import Ambient, InputError, PhaseLatError, as_vector, require_independent
+from .phase_metric import RATIO_ATOL_SCALE, PairWitness, row_separations, spr_ratio
 
 __all__ = [
     "InfeasibleError",
@@ -42,15 +39,7 @@ __all__ = [
 
 UNBOUNDED_RATIO = 1e9
 
-# coarse unimodular grid used inside search loops at complex p != 2; final
-# measurements always go through unimodular_distance at full precision
-_SEP_ANGLES = np.linspace(0.0, 2 * np.pi, 48, endpoint=False)
-_SEP_GRID = np.exp(1j * _SEP_ANGLES)
-# the 17 zoom angles around each coarse angle, one row per grid index
-_SEP_REFINE = np.exp(1j * (_SEP_ANGLES[:, None]
-                           + np.linspace(-_SEP_ANGLES[1], _SEP_ANGLES[1], 17)[None, :]))
-_SEP_GRID.flags.writeable = _SEP_REFINE.flags.writeable = False
-# in its argmin's basin the refined coarse separation overestimates by at
+# in its argmin's basin row_separations(refine=True) overestimates by at
 # most ~2 sin(spacing / 32) ||g||, 8e-3 on normalized pairs; a minimum in
 # another basin has passed the margin by up to 0.0204 (complex, p = inf),
 # and search_perp_pair re-measures every witness and drops such a pair.
@@ -85,10 +74,6 @@ class Subspace:
     @property
     def k(self):
         return self.basis.shape[0]
-
-    def element(self, coeffs):
-        coeffs = np.asarray(coeffs)
-        return coeffs @ self.basis
 
     def _param_dim(self):
         return self.k * (2 if self.ambient.field == "complex" else 1)
@@ -220,42 +205,13 @@ def _normalized_pairs(E, X):
     return W[:R][ok] / nw[:R, None][ok], W[R:][ok] / nw[R:, None][ok], ok
 
 
-def _sep_rows_coarse(U, V, norm, field, refine=False):
-    if field != "complex":
-        return _phase_norms(U, V, np.array([[1.0], [-1.0]]), norm).min(axis=0)
-    if norm.p == 2.0:
-        # the closed form: each row's phase of <u, v> attains the minimum
-        return _phase_norms(U, V, euclidean_phases(U, V, norm)[None, :], norm)[0]
-    vals = _phase_norms(U, V, _SEP_GRID[:, None], norm)
-    coarse = vals.min(axis=0)
-    if not refine:
-        return coarse
-    lam2 = _SEP_REFINE[vals.argmin(axis=0)].T
-    return np.minimum(coarse, _phase_norms(U, V, lam2, norm).min(axis=0))
-
-
-def _phase_norms(U, V, lams, norm):
-    # norm(u - lam v) for each row of lams, (A, 1) or (A, R), and each row
-    # pair: (A, R).  Scalars outermost, so a pass spans a run of rows whose
-    # A differences fit one tile; a row longer than a tile runs in tiles
-    # of scalars
-    A, (R, n) = lams.shape[0], U.shape
-    out = np.empty((A, R))
-    for r in row_tiles(R, A * U.itemsize * n):
-        for s in row_tiles(A, (r.stop - r.start) * U.itemsize * n):
-            D = (lams[s, r] if lams.shape[1] > 1 else lams[s])[:, :, None] * V[r]
-            np.subtract(U[r], D, out=D)
-            out[s, r] = norm.of_rows(D.reshape(-1, n)).reshape(D.shape[:2])
-    return out
-
-
 def _ratio_objective(E):
     norm = E.ambient.norm
     field = E.ambient.field
 
     def fn(X):
         W, R = _pairs_from_params(E, X), X.shape[0]
-        num = _sep_rows_coarse(W[:R], W[R:], norm, field)
+        num = row_separations(W[:R], W[R:], norm, field=field)
         # | |u| - |v| |, |u| and |v| in one of_rows call; the pairs are freed
         # first, so at large n the norm's temporaries take their place
         M = np.empty((3 * R, W.shape[1]))
@@ -287,7 +243,8 @@ def _disjoint_objective(E):
 
 def _shortfall(U, V, gap, norm, field, target):
     """max(target - sep, 0) per normalized row pair, with sep from
-    _sep_rows_coarse(refine=True); gap holds each row's modulus gap.
+    phase_metric.row_separations(refine=True); gap holds each row's
+    modulus gap.
 
     |u_i - lambda v_i| >= | |u_i| - |v_i| | and the norm is monotone, so no
     separation lies below the modulus gap N(| |u| - |v| |).  A row whose gap
@@ -298,7 +255,7 @@ def _shortfall(U, V, gap, norm, field, target):
     near = np.flatnonzero(~(gap >= target + 1e-12))
     out = np.zeros(U.shape[0])
     if near.size:
-        sep = _sep_rows_coarse(U[near], V[near], norm, field, refine=True)
+        sep = row_separations(U[near], V[near], norm, field=field, refine=True)
         out[near] = np.maximum(target - sep, 0.0)
     return out
 
@@ -457,12 +414,12 @@ def search_almost_disjoint(E, budget=None, seed=0):
     return PairWitness.from_vectors(U[0], V[0], E.ambient.norm, E.ambient.field)
 
 
-def search_perp_pair(E, m, budget=None, seed=0, feas_tol=1e-6):
+def search_perp_pair(E, m, budget=None, seed=0):
     """Minimize the perpendicularity defect subject to separation >= m.
 
     Exterior penalty with escalating weight; the returned witness is
     re-measured at full precision and must satisfy
-    separation >= m - feas_tol, otherwise InfeasibleError.  m = 0 runs
+    separation >= m - 1e-6, otherwise InfeasibleError.  m = 0 runs
     the unconstrained search; a negative or NaN m raises InputError.
     """
     if not m >= 0:
@@ -499,7 +456,7 @@ def search_perp_pair(E, m, budget=None, seed=0, feas_tol=1e-6):
         if not np.any(ok):
             continue
         wit = PairWitness.from_vectors(U[0], V[0], norm, field)
-        if wit.separation < m - feas_tol:
+        if wit.separation < m - 1e-6:
             continue
         if best is None or wit.perp < best.perp:
             best = wit

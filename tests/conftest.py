@@ -12,3 +12,10 @@ def random_vec(rng, n, field):
     if field == "complex":
         return x + 1j * rng.standard_normal(n)
     return x
+
+
+def unit_modulus_pair(n):
+    # unit-modulus entries with random phases: at n = 2048 and p in {1, inf}
+    # the distance screen brackets many grid minima, which zoom together
+    rng = np.random.default_rng(5)
+    return np.exp(2j * np.pi * rng.random(n)), np.exp(2j * np.pi * rng.random(n))

@@ -284,6 +284,18 @@ def test_negative_m_exits_two(tmp_path, capsys):
         assert out == "" and "nonnegative" in err
 
 
+@pytest.mark.parametrize("flag", ["--restarts", "--iters"])
+@pytest.mark.parametrize("command", [["analyze", "{basis}"], ["search-disjoint", "{basis}"],
+                                     ["search-perp", "{basis}", "--m", "0.1"],
+                                     ["example", "c4"]], ids=lambda c: c[0])
+def test_budget_below_one_exits_two(tmp_path, capsys, command, flag):
+    f = _problem(tmp_path, "real3.json", REAL3)
+    code, out, err = _run(capsys, [f if a == "{basis}" else a for a in command]
+                          + [flag, "0"])
+    assert code == 2
+    assert out == "" and err.startswith("error:") and flag in err
+
+
 @pytest.mark.parametrize("argv", [
     ["identities", "--dim", "0"], ["identities", "--dim", "-2"], ["real-spr", "--dim", "0"],
     ["identities", "--samples", "0"], ["real-spr", "--samples", "0"],

@@ -12,7 +12,7 @@ from phaselat import (
 )
 from phaselat.phase_metric import (_GRID_LAMBDA, _grid_distance, _grid_values,
                                    euclidean_phases)
-from conftest import random_vec
+from conftest import random_vec, unit_modulus_pair
 from oracles import closed_form_l2_distance, grid_distance, scalar_euclidean_phase
 
 SQRT2 = np.sqrt(2.0)
@@ -221,6 +221,31 @@ def test_plateau_pairs_cost_a_bounded_number_of_norm_calls(rng, monkeypatch):
     assert calls[2] <= 512
     assert calls[1] <= 1 + 12 * 8
     assert out.distance == pytest.approx(np.max(np.abs(g)), rel=1e-15)
+
+
+def _few_phases_pair(n):
+    # g_k = e^{2 pi i k / 7}: seven minima of equal depth, off the grid
+    return np.ones(n, dtype=complex), np.exp(2j * np.pi * np.arange(n) / 7)
+
+
+@pytest.mark.parametrize("pair, p, pin", [
+    (unit_modulus_pair, 1.0,
+     ("0x1.42c61c282277ap+11", "-0x1.d83ec470a175ep-1", "-0x1.8b9e5159d5673p-2")),
+    (unit_modulus_pair, np.inf,
+     ("0x1.fffcc0f6d79f3p+0", "-0x1.4f8aa4de92f30p-1", "-0x1.82b979b671504p-1")),
+    (_few_phases_pair, 1.0,
+     ("0x1.403f0d5680b28p+11", "0x1.3f3a0e28bf2d8p-1", "-0x1.904c37505da49p-1")),
+    (_few_phases_pair, 3.0,
+     ("0x1.31342e66a3c7ep+4", "0x1.c7b9002fc28fbp-3", "-0x1.f329c12215baep-1")),
+    (_few_phases_pair, np.inf,
+     ("0x1.f329c0558ea96p+0", "0x1.0000000000000p+0", "0x1.fec8ad477c000p-43")),
+], ids=["unit-modulus-1", "unit-modulus-inf", "few-phases-1", "few-phases-3",
+        "few-phases-inf"])
+def test_many_bracket_distances_are_frozen(pair, p, pin):
+    # pairs at n = 2048 whose zoom carries several brackets per round;
+    # distance and lambda* as hex floats, bit for bit
+    d = unimodular_distance(*pair(2048), NormSpec(p))
+    assert (d.distance.hex(), d.lambda_star.real.hex(), d.lambda_star.imag.hex()) == pin
 
 
 def test_real_field_compares_two_signs(rng):

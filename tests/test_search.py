@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+import phaselat.phase_metric as PM
 import phaselat.search as S
 from phaselat import (
     Ambient,
@@ -485,7 +486,7 @@ def test_gap_skip_keeps_objectives_bitwise(field, p, weighted, monkeypatch):
     E, X = _candidate_rows(field, p, weighted, real_span=True)
     norm = E.ambient.norm
     if field == "complex":
-        grid, refine = S._SEP_GRID, S._SEP_REFINE
+        grid, refine = PM._SEP_GRID, PM._SEP_REFINE
     else:
         grid, refine = np.array([1.0, -1.0]), None
 
@@ -498,8 +499,8 @@ def test_gap_skip_keeps_objectives_bitwise(field, p, weighted, monkeypatch):
     U, V, _ = pairs(X)
     gap = norm.of_rows(np.abs(np.abs(U) - np.abs(V)))
     scored = []
-    sep_rows = S._sep_rows_coarse
-    monkeypatch.setattr(S, "_sep_rows_coarse",
+    sep_rows = S.row_separations
+    monkeypatch.setattr(S, "row_separations",
                         lambda U, *a, **k: scored.append(U.shape[0]) or sep_rows(U, *a, **k))
     # targets at the gap of a row whose separation equals its gap, and
     # within 1e-13 on either side of it and of the skip threshold 1e-12
@@ -523,8 +524,8 @@ def test_complex_euclidean_separation_is_the_closed_form(weighted):
     E, X = _candidate_rows("complex", 2.0, weighted)
     norm = E.ambient.norm
     U, V, _ = S._normalized_pairs(E, X)
-    sep = S._sep_rows_coarse(U, V, norm, "complex", refine=True)
-    grid = grid_separations(U, V, norm.of_rows, S._SEP_GRID, S._SEP_REFINE)
+    sep = PM.row_separations(U, V, norm, field="complex", refine=True)
+    grid = grid_separations(U, V, norm.of_rows, PM._SEP_GRID, PM._SEP_REFINE)
     for u, v, s in zip(U, V, sep):
         exact = closed_form_l2_distance(u, v, norm.weights)
         assert abs(s - exact) <= 1e-15 * (norm(u) + norm(v))

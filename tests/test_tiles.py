@@ -1,9 +1,10 @@
 """The tile policy of the batched evaluations (lattice.row_tiles).
 
-The phase-distance screen, the searches' separation grid and the Hilbert
-fit's lattice norms split their batches into tiles of at most 256 KiB.
-Tiling must not change a bit of any result, and no array handed to a norm
-reduction from those three sites may be larger than one tile.
+The phase-distance screen, the phase kernel (phase_metric.phase_norms,
+which serves the distance zoom and the searches' separation grid) and the
+Hilbert fit's lattice norms split their batches into tiles of at most
+256 KiB.  Tiling must not change a bit of any result, and no array handed
+to a norm reduction from those three sites may be larger than one tile.
 """
 
 import sys
@@ -13,12 +14,12 @@ import pytest
 
 import phaselat.hilbert as H
 import phaselat.lattice as L
-import phaselat.search as S
+import phaselat.phase_metric as PM
 from phaselat import (Ambient, NormSpec, SearchBudget, Subspace, estimate_spr_constant,
                       fit_hilbert_norm, search_perp_pair, unimodular_distance)
 from phaselat.phase_metric import _grid_values
 
-from conftest import random_vec
+from conftest import random_vec, unit_modulus_pair
 
 TILE = 1 << 18
 ONE_BLOCK = 1 << 62
@@ -50,11 +51,13 @@ def _results(rng_seed, n, p, weighted):
     out = []
     f, g = random_vec(rng, n, "complex"), random_vec(rng, n, "complex")
     out.append(_grid_values(f, g, norm))
+    d = unimodular_distance(f, g, norm)
+    out.append(np.array([d.distance, d.lambda_star.real, d.lambda_star.imag]))
     for field in ("real", "complex"):
         U = np.stack([random_vec(rng, n, field) for _ in range(37)])
         V = np.stack([random_vec(rng, n, field) for _ in range(37)])
         for refine in (False, True):
-            out.append(S._sep_rows_coarse(U, V, norm, field, refine=refine))
+            out.append(PM.row_separations(U, V, norm, field=field, refine=refine))
         # at n = 2048 an odd prefix of the fit grid keeps the one block small
         rows = H._FIT_GRID[field][1]
         rows = rows if n <= 64 else rows[:301]
@@ -115,9 +118,11 @@ def test_tiles_near_the_blas_kernel_switch(monkeypatch, n, seed):
 
 def _record_sizes(monkeypatch):
     # nbytes of every array reaching of_squared_rows, and of every of_rows
-    # argument passed from the search grid or the fit grid, by site
+    # argument passed from the phase kernel or the fit grid, by site; an
+    # of_rows call made by the distance solver itself counts as the kernel's
     sizes = {}
-    sites = {"_phase_norms": "search grid", "_lattice_norms": "fit grid"}
+    sites = {"phase_norms": "phase kernel", "_grid_distance": "phase kernel",
+             "_zoom": "phase kernel", "_lattice_norms": "fit grid"}
     of_rows, of_squared_rows = NormSpec.of_rows, NormSpec.of_squared_rows
 
     def rows(self, X):
@@ -147,6 +152,12 @@ def test_no_batch_exceeds_one_tile(monkeypatch):
         for p in (1.0, 2.0, 3.0, np.inf):
             unimodular_distance(f, g, NormSpec(p))
 
+    def many_brackets():
+        # the zoom of a pair with many grid minima at n = 2048: untiled, one
+        # round's brackets would hold 16 MiB of differences at p = inf
+        for p in (1.0, np.inf):
+            unimodular_distance(*unit_modulus_pair(2048), NormSpec(p))
+
     def searches():
         # the searches' separation grid on a complex k = 3 subspace of C^8
         estimate_spr_constant(E, SearchBudget(12, 40), seed=3)
@@ -165,8 +176,9 @@ def test_no_batch_exceeds_one_tile(monkeypatch):
         fit_hilbert_norm(f, g, NormSpec(3.0), field="complex")
 
     # each run must reach the site it exercises, so no leg passes unchecked
-    for run, site in ((distances, "screen"), (searches, "search grid"),
-                      (long_rows, "search grid"), (fit, "fit grid")):
+    for run, site in ((distances, "screen"), (many_brackets, "phase kernel"),
+                      (searches, "phase kernel"), (long_rows, "phase kernel"),
+                      (fit, "fit grid")):
         sizes.clear()
         run()
         assert sizes.get(site), (run.__name__, site)
