@@ -16,11 +16,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import (
+    InputError,
     as_vector,
     check_same_dim,
     modulus,
+    perp_measure,
     perp_profile,
     require_independent,
+    require_normalized,
 )
 from .phase_metric import PairWitness, spr_ratio, unimodular_distance
 from .hilbert import (
@@ -35,6 +38,7 @@ from .hilbert import (
 
 __all__ = [
     "M_RANGE_MAX",
+    "EQUIV_ATOL",
     "BuilderParams",
     "DisjointLift",
     "SPRViolation",
@@ -49,6 +53,7 @@ __all__ = [
 
 # the separation parameter of an almost-perpendicular pair lives below this
 M_RANGE_MAX = 1.0 / SQRT2 - 0.5
+EQUIV_ATOL = 1e-9  # complex_pr_equivalences' default tolerance, also the CLI's
 
 
 def delta_of_m(m):
@@ -126,26 +131,19 @@ class EquivalenceVerdict(NamedTuple):
     pythagorean: bool
 
 
-def _require_normalized(u, v, norm):
-    nu, nv = norm(u), norm(v)
-    if abs(nu - 1.0) > 1e-10 or abs(nv - 1.0) > 1e-10:
-        raise PreconditionError(
-            f"inputs must be normalized, got norms {nu:.12f}, {nv:.12f}"
-        )
-
-
 def disjoint_to_pr_failure(f, g, norm, field="complex"):
     """Lift a disjoint pair to two vectors with identical moduli.
 
     F = f + g and G = f - g; disjoint supports force |F| = |G| = |f| + |g|
-    coordinatewise.  A largest modulus at most 1e-12 counts as zero, and
-    an overlap above 1e-12 times the larger one as not disjoint.
+    coordinatewise.  Both inputs must be nonzero; an overlap above 1e-12
+    times the largest modulus counts as not disjoint, and then |F| and |G|
+    may differ by twice that (||F| - |G|| <= 2 min(|f|, |g|)), plus rounding.
     """
     f = as_vector(f, field)
     g = as_vector(g, field)
     check_same_dim(f, g)
     scale = max(float(np.max(modulus(f))), float(np.max(modulus(g))))
-    if float(np.max(modulus(f))) <= 1e-12 or float(np.max(modulus(g))) <= 1e-12:
+    if not (np.any(f) and np.any(g)):
         raise PreconditionError("inputs must be nonzero")
     overlap = np.minimum(modulus(f), modulus(g))
     if np.any(overlap > 1e-12 * scale):
@@ -154,7 +152,7 @@ def disjoint_to_pr_failure(f, g, norm, field="complex"):
         )
     F = f + g
     G = f - g
-    if np.any(np.abs(modulus(F) - modulus(G)) > 1e-12 * max(scale, 1.0)):
+    if np.any(np.abs(modulus(F) - modulus(G)) > 2.01e-12 * scale):
         raise CertificateError("moduli of f+g and f-g differ beyond rounding")
     require_independent(np.stack([F, G]), CertificateError("constructed pair is dependent"))
     return DisjointLift(F=F, G=G)
@@ -172,7 +170,7 @@ def adp_to_spr_violation(u, v, norm, field="complex"):
     u = as_vector(u, field)
     v = as_vector(v, field)
     check_same_dim(u, v)
-    _require_normalized(u, v, norm)
+    require_normalized(u, v, norm, PreconditionError)
     eps_p = norm(np.minimum(modulus(u), modulus(v)))
     if eps_p >= 1.0:
         raise PreconditionError(f"pair is not almost disjoint, overlap {eps_p:.6f}")
@@ -243,7 +241,7 @@ def spr_failure_to_perp_pair(f, g, norm, m, epsilon, field="complex"):
     if norm(f1) < norm(g1):
         f1, g1 = g1, f1
     s = norm(f1)
-    if s <= 1e-30:
+    if s <= 1e-30 * max(norm(f), norm(g)):
         raise CertificateError("reduction collapsed the pair")
     f1 = f1 / s
     g1 = g1 / s
@@ -294,7 +292,7 @@ def perp_pair_to_spr_failure(u, v, norm, m, C, field="complex"):
     u = as_vector(u, field)
     v = as_vector(v, field)
     check_same_dim(u, v)
-    _require_normalized(u, v, norm)
+    require_normalized(u, v, norm, PreconditionError)
     delta = delta_of_m(m)
 
     sep = unimodular_distance(u, v, norm, field=field).distance
@@ -302,7 +300,7 @@ def perp_pair_to_spr_failure(u, v, norm, m, C, field="complex"):
         raise PreconditionError(
             f"separation {sep:.9f} below m = {m} by {m - sep:.3e}"
         )
-    perp = norm(perp_profile(u, v))
+    perp = perp_measure(u, v, norm)
     bound = delta * m / (2.0 * C)
     if not perp < bound:
         raise PreconditionError(
@@ -338,7 +336,7 @@ def perp_pair_to_spr_failure(u, v, norm, m, C, field="complex"):
     return PerpFailure(f=f, g=g, measured_ratio=float(measured))
 
 
-def complex_pr_equivalences(f, g, atol=1e-9):
+def complex_pr_equivalences(f, g, atol=EQUIV_ATOL):
     """Evaluate the four pointwise phase-retrieval conditions on a pair.
 
     Conditions: (u, v) = (f+g, f-g) share a modulus; |f-g| = |f+g|;
@@ -346,16 +344,19 @@ def complex_pr_equivalences(f, g, atol=1e-9):
     the same statement, and as computed the same comparison, since
     fl(a - b) = -fl(b - a); both fields report it.  The conditions are
     equivalent, so the booleans must agree; disagreement raises.  Modulus
-    comparisons use atol at linear scale and the real-part comparison at
-    quadratic scale, matching how rounding propagates through each.
+    comparisons allow atol (finite, nonnegative) times the pair's largest
+    modulus s, and the real-part comparison atol s^2, matching how
+    rounding propagates through each.
     """
+    if not 0.0 <= atol < math.inf:
+        raise InputError(f"atol must be finite and nonnegative, got {atol}")
     f = as_vector(f, "complex")
     g = as_vector(g, "complex")
     check_same_dim(f, g)
     require_independent(
         np.stack([f, g]), PreconditionError("conditions require an independent pair")
     )
-    s = max(1.0, float(np.max(modulus(f))), float(np.max(modulus(g))))
+    s = max(float(np.max(modulus(f))), float(np.max(modulus(g))))
     usum = f + g
     vdiff = f - g
     b1 = bool(np.all(np.abs(modulus(usum) - modulus(vdiff)) <= atol * s))

@@ -31,6 +31,7 @@ from .lattice import (
     as_vector,
     meet,
     modulus,
+    perp_measure,
     perp_profile,
 )
 from .phase_metric import spr_ratio, unimodular_distance
@@ -276,8 +277,6 @@ def cmd_search_disjoint(args):
 
 def cmd_search_perp(args):
     t0 = time.perf_counter()
-    if not args.m >= 0:
-        raise ProblemError(f"--m must be nonnegative, got {args.m}")
     ambient, basis, _ = _load_problem(args.file, need_basis=True)
     E = _subspace(ambient, basis)
     wit = search_perp_pair(E, args.m, budget=_budget(args), seed=args.seed)
@@ -520,7 +519,7 @@ def cmd_example(args):
     un = u / norm(u)
     vn = v / norm(v)
 
-    perp = norm(perp_profile(un, vn))
+    perp = perp_measure(un, vn, norm)
     analytic_perp = math.sqrt(A * delta)
     bound = 2.0 * A * delta
     measured = unimodular_distance(un, vn, norm).distance
@@ -549,6 +548,13 @@ def cmd_example(args):
     return _report(args, "example c4", payload, t0, ok=all(checks.values()))
 
 
+def _nonnegative(text):
+    x = float(text)
+    if not 0.0 <= x < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text}")
+    return x
+
+
 @functools.cache
 def _build_parser():
     # built once per process: parse_args leaves the parser unchanged
@@ -559,10 +565,13 @@ def _build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     # each subcommand takes only the flags it reads
-    flags = {"restarts": {"type": int, "default": 12},
-             "iters": {"type": int, "default": 250},
+    flags = {"restarts": {"type": int, "default": SearchBudget.restarts},
+             "iters": {"type": int, "default": SearchBudget.iterations_per_restart},
              "seed": {"type": int, "default": 0},
-             "tol": {"type": float, "default": 1e-8}}
+             "tol": {"type": _nonnegative, "default": 1e-8},
+             "m": {"type": float, "default": 0.1},
+             "eps": {"type": float, "default": 0.05},
+             "C": {"type": float, "default": 100.0}}
     search = ("restarts", "iters", "seed")
 
     def common(p, *names, file_arg=True):
@@ -583,7 +592,7 @@ def _build_parser():
 
     p = sub.add_parser("search-perp", help="least perpendicularity defect at separation >= m")
     common(p, *search)
-    p.add_argument("--m", type=float, default=0.0)
+    p.add_argument("--m", type=_nonnegative, default=0.0)
     p.set_defaults(fn=cmd_search_perp)
 
     p = sub.add_parser("reduce", help="fit a Hilbert norm and orthogonally reduce the pair")
@@ -591,12 +600,12 @@ def _build_parser():
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("build", help="run a witness construction on the file's pair")
-    p.add_argument("builder", choices=["adp2spr", "spr2perp", "perp2spr", "pr-equiv"])
-    common(p, "tol")
-    p.add_argument("--m", type=float, default=0.1)
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--C", type=float, default=100.0)
     p.set_defaults(fn=cmd_build)
+    kinds = p.add_subparsers(dest="builder", required=True)
+    for name, names in (("adp2spr", ()), ("spr2perp", ("m", "eps")),
+                        ("perp2spr", ("m", "C")), ("pr-equiv", ("tol",))):
+        common(kinds.add_parser(name), *names)
+    kinds.choices["pr-equiv"].set_defaults(tol=builders.EQUIV_ATOL)
 
     p = sub.add_parser("verify", help="run a property sweep")
     p.add_argument("suite", choices=["identities", "real-spr", "complex-spr"])

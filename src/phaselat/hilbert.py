@@ -762,7 +762,7 @@ def nonneg_rotation(f, g, H):
     f = as_vector(f, H.field)
     g = as_vector(g, H.field)
     ip = complex(H.inner(f, g))
-    if abs(ip) <= 1e-14 * max(H.norm_h(f) * H.norm_h(g), 1e-30):
+    if abs(ip) <= 1e-14 * H.norm_h(f) * H.norm_h(g):
         mu = 1.0 if H.field == "real" else 1.0 + 0.0j
     elif H.field == "real":
         mu = 1.0 if ip.real >= 0.0 else -1.0
@@ -790,7 +790,7 @@ def align_pair(u, v, H):
     f = u + v_rot
     g = u - v_rot
     check = H.inner(f, g)
-    if abs(complex(check).imag) > 1e-10 * max(nu * nu + nv * nv, 1e-30):
+    if abs(complex(check).imag) > 1e-10 * (nu * nu + nv * nv):
         raise CertificateError("alignment left a non-real inner product")
     return AlignedPair(f=f, g=g, mu=mu, swapped=swapped)
 
@@ -816,12 +816,13 @@ def orthogonal_reduce(f, g, H, mu=1.0):
     S - 4<f,g>_H is exact near the double root, where 4<f,g>_H is within a
     factor 2 of S.  Postconditions are asserted, not trusted:
     orthogonality within 1e-10 relative, coordinatewise modulus-gap
-    domination within 1e-12, and difference preservation to the last
-    few representable bits.  Near the double root the orthogonality check
-    can fail on rounding alone: the rounding of <f,g>_H and S (about
-    1e-16 S) stays while the reduced pair shrinks, so aligned pairs with
-    disc below about 1e-6 on fitted forms may raise CertificateError.
-    That is a raised error, never a wrong result.
+    domination within 1e-12 of the coordinate's largest modulus, and
+    difference preservation to the last few representable bits.  Near the
+    double root the orthogonality check can fail on rounding alone: the
+    rounding of <f,g>_H and S (about 1e-16 S) stays while the reduced pair
+    shrinks, so aligned pairs with disc below about 1e-6 on fitted forms
+    may raise CertificateError.  That is a raised error, never a wrong
+    result.
     """
     f = as_vector(f, H.field)
     g = as_vector(g, H.field)
@@ -831,17 +832,15 @@ def orthogonal_reduce(f, g, H, mu=1.0):
     if det <= 1e-12 * max(np.linalg.norm(cf) * np.linalg.norm(cg), 1e-30):
         raise DependentVectorsError("pair is numerically dependent")
     q = complex(np.vdot(cg, H.gram @ cf))
-    scale = max(
-        np.sqrt(max(_quad(H.gram, cf), 0.0)) * np.sqrt(max(_quad(H.gram, cg), 0.0)),
-        1e-30,
-    )
+    qf, qg = max(_quad(H.gram, cf), 0.0), max(_quad(H.gram, cg), 0.0)
+    scale = np.sqrt(qf) * np.sqrt(qg)
     if abs(q.imag) > 1e-8 * scale:
         raise PreconditionError(f"inner product not real: Im = {q.imag:.3e}")
     if q.real < -1e-8 * scale:
         raise PreconditionError(f"inner product negative: {q.real:.3e}")
     qr = q.real if q.real > 0.0 else 0.0
     S = max(_quad(H.gram, cf + cg), 0.0)
-    if S <= 1e-30:
+    if S <= 1e-30 * (qf + qg):
         raise DependentVectorsError("f + g vanishes in the fitted norm")
     disc = (S - 4.0 * qr) / S
     if disc < -1e-9:
@@ -858,16 +857,15 @@ def orthogonal_reduce(f, g, H, mu=1.0):
     c2 = H.coeffs(g1)
     resid = abs(complex(np.vdot(c2, H.gram @ c1)))
     bound = np.sqrt(max(_quad(H.gram, c1), 0.0)) * np.sqrt(max(_quad(H.gram, c2), 0.0))
-    if resid > 1e-10 * bound + 1e-30:
+    if resid > 1e-10 * bound:
         raise CertificateError(f"orthogonality residual {resid:.3e} over {bound:.3e}")
     gap_after = np.abs(np.abs(f1) - np.abs(g1))
     gap_before = np.abs(np.abs(f) - np.abs(g))
-    if np.any(gap_after > gap_before + 1e-12):
+    top = np.maximum.reduce([np.abs(f1), np.abs(g1), np.abs(f), np.abs(g)]).real
+    if np.any(gap_after > gap_before + 1e-12 * top):
         raise CertificateError("modulus gap grew under reduction")
     drift = np.abs((f1 - g1) - (f - g))
-    caps = 4.0 * np.spacing(
-        np.maximum.reduce([np.abs(f1), np.abs(g1), np.abs(f), np.abs(g)]).real + 1e-300
-    )
+    caps = 4.0 * np.spacing(top + 1e-300)
     if np.any(drift > caps):
         raise CertificateError("difference not preserved to rounding accuracy")
     return ReductionResult(f_prime=f1, g_prime=g1, mu=mu, R=R)

@@ -85,6 +85,13 @@ def require_independent(mat, err):
         raise err
 
 
+def require_normalized(u, v, norm, error_type):
+    """Raise ``error_type`` unless both norms lie within 1e-10 of 1."""
+    nu, nv = norm(u), norm(v)
+    if abs(nu - 1.0) > 1e-10 or abs(nv - 1.0) > 1e-10:
+        raise error_type(f"inputs must be normalized, got norms {nu:.12f}, {nv:.12f}")
+
+
 # the largest temporary array a batched evaluation builds: 256 KiB, which
 # is 2^15 float64 or 2^14 complex128 entries.  Blocks of this size stay in
 # the L2 cache and mostly come back from the heap; a fresh 8 MiB phase grid

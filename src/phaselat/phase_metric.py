@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .lattice import (InputError, as_vector, check_same_dim, ldexp, modulus,
-                      perp_profile, row_tiles, unit_exponent)
+                      perp_measure, require_normalized, row_tiles, unit_exponent)
 
 __all__ = ["PhaseAlignment", "RatioReport", "PairWitness",
            "unimodular_distance", "row_separations", "spr_ratio"]
@@ -323,11 +323,8 @@ class PairWitness:
     def from_vectors(cls, u, v, norm, field, marginal=False):
         u = as_vector(u, field)
         v = as_vector(v, field)
-        nu, nv = norm(u), norm(v)
-        if abs(nu - 1.0) > 1e-10 or abs(nv - 1.0) > 1e-10:
-            raise InputError("witness vectors must be normalized")
+        require_normalized(u, v, norm, InputError)
         sep = unimodular_distance(u, v, norm, field=field).distance
         dis = norm(np.minimum(modulus(u), modulus(v)))
-        perp = norm(perp_profile(u, v))
         return cls(u=u, v=v, separation=sep, disjointness=dis,
-                   perp=perp, marginal=marginal)
+                   perp=perp_measure(u, v, norm), marginal=marginal)

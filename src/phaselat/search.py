@@ -47,6 +47,7 @@ UNBOUNDED_RATIO = 1e9
 # separations are exact, and there it only raises the target
 _SEP_MARGIN = 0.01
 _DELTA0 = 0.35  # every restart's first pattern step
+_EPS_FAIL = 1e-6  # check_pr: a witness with smaller perp decides failure
 
 
 class InfeasibleError(PhaseLatError):
@@ -467,13 +468,13 @@ def search_perp_pair(E, m, budget=None, seed=0):
     return best
 
 
-def check_pr(E, m_grid=(0.05, 0.1, 0.2), budget=None, seed=0, eps_fail=1e-6):
+def check_pr(E, m_grid=(0.05, 0.1, 0.2), budget=None, seed=0):
     """Decide phase retrieval up to search effort.
 
-    Runs search_perp_pair for each m; a witness with perp < eps_fail and
-    separation >= m - 1e-6 decides failure.  A pass is only "no witness
-    found under this budget", never a proof.  A negative or NaN m in the
-    grid raises InputError before any search runs.
+    Runs search_perp_pair for each m; a witness with perp < 1e-6, the
+    verdict's eps_fail, and separation >= m - 1e-6 decides failure.  A pass
+    is only "no witness found under this budget", never a proof.  A
+    negative or NaN m in the grid raises InputError before any search runs.
     """
     if len(m_grid) == 0:
         raise InputError("m_grid must be nonempty")
@@ -488,16 +489,16 @@ def check_pr(E, m_grid=(0.05, 0.1, 0.2), budget=None, seed=0, eps_fail=1e-6):
             per_m[float(m)] = math.inf
             continue
         per_m[float(m)] = wit.perp
-        if wit.perp < eps_fail:
+        if wit.perp < _EPS_FAIL:
             return PRVerdict(
                 verdict="fails_with_witness",
                 min_perp_per_m=per_m,
                 witness=wit,
-                eps_fail=eps_fail,
+                eps_fail=_EPS_FAIL,
             )
     return PRVerdict(
         verdict="passes_up_to_budget",
         min_perp_per_m=per_m,
         witness=None,
-        eps_fail=eps_fail,
+        eps_fail=_EPS_FAIL,
     )

@@ -14,18 +14,23 @@ import pytest
 
 from phaselat import (
     DependentVectorsError,
+    InputError,
     NormSpec,
     PreconditionError,
     adp_to_spr_violation,
     complex_pr_equivalences,
     disjoint_to_pr_failure,
+    fit_hilbert_norm,
     modulus,
+    orthogonal_reduce,
     perp_pair_to_spr_failure,
+    reduce_pair,
     spr_failure_to_perp_pair,
     spr_ratio,
     unimodular_distance,
 )
 from phaselat.builders import M_RANGE_MAX, BuilderParams, delta_of_m
+from phaselat.lattice import ldexp
 
 from conftest import random_vec
 
@@ -101,6 +106,13 @@ def test_disjoint_lift_rejects_overlap_and_zero():
         disjoint_to_pr_failure([1.0, 0.0], [0.1, 1.0], NormSpec(2.0))
     with pytest.raises(PreconditionError):
         disjoint_to_pr_failure([0.0, 0.0], [0.0, 1.0], NormSpec(2.0))
+
+
+def test_disjoint_lift_accepts_the_overlap_it_admits():
+    # an overlap of 0.9e-12 passes the disjointness test, and the lift's
+    # moduli then differ by 1.8e-12, within twice the admitted overlap
+    out = disjoint_to_pr_failure([1.0, 0.9e-12], [0.0, 1.0], NormSpec(2.0))
+    assert np.max(np.abs(modulus(out.F) - modulus(out.G))) <= 2e-12
 
 
 def test_adp_violation_small_overlap_in_sup_norm():
@@ -346,3 +358,61 @@ def test_equivalences_reject_dependent_inputs():
     f = np.array([1.0, 2.0], dtype=complex)
     with pytest.raises(PreconditionError):
         complex_pr_equivalences(f, 2.0 * f)
+
+
+@pytest.mark.parametrize("atol", [-1.0, math.nan, math.inf])
+def test_equivalences_reject_a_bad_tolerance(atol):
+    # a negative or NaN atol would call the perpendicular pair
+    # (1, 1), (i, 2i) not perpendicular; an infinite one every pair so
+    with pytest.raises(InputError):
+        complex_pr_equivalences([1.0, 1.0], [1j, 2j], atol=atol)
+
+
+def test_pair_checks_do_not_depend_on_scale():
+    # the reduction and the builders measure the pair against its own
+    # scale: 2^+-60 scales every output exactly, and 1e+-20 keeps every
+    # verdict, where absolute floors once decided at small scales
+    rng = np.random.default_rng(4)
+    f = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    g = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    # h matches f's modulus at one coordinate, where the gap starts at 0
+    h = g.copy()
+    h[0] = abs(f[0]) * np.exp(1j)
+    u = np.array([1.0, 0.5j, 0.0, 0.0])
+    v = np.array([0.0, 0.0, 0.3, 1j])
+
+    def outputs(s):
+        out = [tuple(complex_pr_equivalences(s * f, s * g))]
+        for p, w in ((2.0, g), (3.0, g), (np.inf, g), (2.0, h), (np.inf, h)):
+            _, red = reduce_pair(s * f, s * w, NormSpec(p))
+            out.append((red.f_prime, red.g_prime, red.R))
+        wit = spr_failure_to_perp_pair(s * (u + v), s * (u - v), SUP, 0.1, 0.05)
+        lift = disjoint_to_pr_failure(s * u, s * v, SUP)
+        return out + [(wit.u, wit.v, wit.separation, wit.perp), (lift.F, lift.G)]
+
+    ref = outputs(1.0)
+    assert ref[0] == (False,) * 4
+    for k in (60, -60):
+        got = outputs(2.0**k)
+        assert got[0] == ref[0]
+        for (f1, g1, R), (rf, rg, rR) in zip(got[1:6], ref[1:6]):
+            assert np.array_equal(f1, ldexp(rf, k)) and np.array_equal(g1, ldexp(rg, k))
+            assert R == rR
+        assert all(np.array_equal(a, b) for a, b in zip(got[6], ref[6]))
+        assert all(np.array_equal(a, ldexp(b, k)) for a, b in zip(got[7], ref[7]))
+    for s in (1e20, 1e-20):
+        got = outputs(s)
+        assert got[0] == ref[0]
+        assert [R for *_, R in got[1:6]] == pytest.approx([R for *_, R in ref[1:6]], rel=1e-6)
+        assert got[6][2:] == pytest.approx(ref[6][2:], abs=1e-12)
+        assert np.allclose(got[7][0], s * ref[7][0], rtol=1e-15, atol=0)
+    # a small H-inner product, 1e-5 relative, is rotated at every scale,
+    # not taken for zero
+    a, b = np.array([1.0, 0.0, 0.3]), np.array([0.0, 1.0, 1e-5j])
+    for s in (1.0, 2.0**-60, 1e-20):
+        assert reduce_pair(s * a, s * b, NormSpec(2.0))[1].mu == pytest.approx(-1j, abs=1e-15)
+    # <f, i g>_H is not real, which the reduction rejects at every scale
+    for s in (1.0, 2.0**60, 2.0**-60, 1e20, 1e-20):
+        H = fit_hilbert_norm(s * f, s * g, NormSpec(3.0))
+        with pytest.raises(PreconditionError, match="not real"):
+            orthogonal_reduce(s * f, 1j * s * g, H)

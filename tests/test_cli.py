@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from phaselat import cli
+from phaselat import cli, complex_pr_equivalences
 from phaselat.cli import main
 
 
@@ -51,6 +51,14 @@ QUAD2 = {
     "norm": {"p": "inf"},
     "pair": [[[1, 0], [1, 0]], [[0, 1], [0, -1]]],
 }
+# f = (1, 1), g = (i, 2i) is pointwise perpendicular; NEAR2 moves g by 1e-8
+PERP2 = {
+    "ambient_dim": 2,
+    "field": "complex",
+    "norm": {"p": 2},
+    "pair": [[[1, 0], [1, 0]], [[0, 1], [0, 2]]],
+}
+NEAR2 = dict(PERP2, pair=[[[1, 0], [1, 0]], [[0, 1], [1e-8, 2]]])
 SPR4 = {
     "ambient_dim": 4,
     "field": "complex",
@@ -221,6 +229,19 @@ def test_build_pr_equiv_quadrature(tmp_path, capsys):
     assert doc["fails_pr"] is True
 
 
+def test_build_pr_equiv_tolerance_is_the_library_default(tmp_path, capsys):
+    # g is 1e-8 off perpendicular: between reduce's 1e-8 slack and the
+    # library's 1e-9 tolerance, so the CLI must use the latter
+    f = _problem(tmp_path, "near2.json", NEAR2)
+    code, out, _ = _run(capsys, ["build", "pr-equiv", f, "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    verdict = complex_pr_equivalences(*(
+        [complex(*z) for z in row] for row in NEAR2["pair"]))
+    assert doc["fails_pr"] is verdict.perpendicular is False
+    assert doc["same_modulus_pair"] is verdict.same_modulus_pair
+
+
 def test_example_c4_default_delta(capsys):
     code, out, _ = _run(
         capsys, ["example", "c4", "--json", "--restarts", "6", "--iters", "150"]
@@ -376,6 +397,15 @@ def test_pr_equiv_rejects_real_field(tmp_path, capsys):
     assert "complex" in err
 
 
+@pytest.mark.parametrize("command", [["reduce"], ["build", "pr-equiv"]], ids=" ".join)
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_bad_tolerance_exits_two(tmp_path, capsys, command, tol):
+    f = _problem(tmp_path, "perp2.json", PERP2)
+    code, out, err = _run(capsys, command + [f, "--tol", tol])
+    assert code == 2
+    assert out == "" and "error:" in err and "--tol" in err
+
+
 def test_unknown_flag_exits_two(tmp_path, capsys):
     f = _problem(tmp_path, "real3.json", REAL3)
     code, _, _ = _run(capsys, ["analyze", f, "--nope"])
@@ -389,9 +419,14 @@ def test_unknown_flag_exits_two(tmp_path, capsys):
     ["verify", "identities", "--tol", "1e-6"],
     ["analyze", "{basis}", "--tol", "1e-6"],
     ["example", "c4", "--tol", "1e-6"],
+    ["build", "adp2spr", "{cpair}", "--C", "5"],
+    ["build", "spr2perp", "{cpair}", "--tol", "1e-6"],
+    ["build", "perp2spr", "{cpair}", "--eps", "0.1"],
+    ["build", "pr-equiv", "{cpair}", "--m", "0.1"],
 ])
 def test_flags_a_command_does_not_read_exit_two(tmp_path, capsys, argv):
     paths = {"{pair}": _problem(tmp_path, "reduce2.json", REDUCE2),
+             "{cpair}": _problem(tmp_path, "spr4.json", SPR4),
              "{basis}": _problem(tmp_path, "real3.json", REAL3)}
     code, out, err = _run(capsys, [paths.get(a, a) for a in argv])
     assert code == 2
